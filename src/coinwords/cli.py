@@ -144,18 +144,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print()
         sys.stdout.write(montecarlo.histogram_csv(summary))
     else:
-        st = stats.moments(w) if len(w) in (2, 3) else None
+        st = stats.moments(w)
         print(f"word={w} trials={summary.trials} seed={summary.seed} cap={cfg.max_tosses_per_trial}")
         print(f"completed={summary.count} truncated={summary.truncated}")
-        if st is not None:
-            print(f"empirical_mean={summary.mean} exact_mean={st.mean} ({float(st.mean)})")
-            print(
-                f"empirical_variance={summary.variance} "
-                f"exact_variance={st.variance} ({float(st.variance)})"
-            )
-        else:
-            print(f"empirical_mean={summary.mean}")
-            print(f"empirical_variance={summary.variance}")
+        print(f"empirical_mean={summary.mean} exact_mean={st.mean} ({float(st.mean)})")
+        print(
+            f"empirical_variance={summary.variance} "
+            f"exact_variance={st.variance} ({float(st.variance)})"
+        )
     return 0
 
 

@@ -1,19 +1,23 @@
 """Floating-point closed forms for the counts, with a measured trust range.
 
-Each built-in pattern's counts grow like the reciprocal of the smallest root
-of its closed-form denominator, and rounding the dominant term to the nearest
-integer recovers the exact count as long as double precision can still tell
-integers apart.  How far that holds is not assumed: ``certify_horizon``
-measures it against the exact recurrence and stores the result.
+The counts are the Taylor coefficients of x**k / D(x), so partial fractions
+give a(n) = sum over the roots r of D of -r**(k-1-n) / D'(r) for n >= 1.
+The root x = 1 occurs exactly when the pattern has no proper self-overlap;
+it is divided out exactly and contributes an exact polynomial in n.  The
+other roots must be simple (``solve_denominator`` checks).  Keeping only
+the roots with |r| <= 1 and rounding to the nearest integer recovers the
+exact count as long as the dropped terms stay below 1/2 and double
+precision can still tell integers apart.  How far that holds is not
+assumed: ``certify_horizon`` measures it against the exact recurrence and
+stores the result.
 """
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import builtin_spec, extend_counts
-from .genfun import closed_gf
+from .counting import _denominator, builtin_spec, extend_counts
 from .words import Word
 
 __all__ = [
@@ -22,20 +26,17 @@ __all__ = [
     "ClosedFormModel",
     "certify_horizon",
     "closed_form_count",
-    "roots_csv",
     "root_formula_count",
     "secondary_term",
     "solve_denominator",
 ]
 
-GOLDEN = (1 + math.sqrt(5)) / 2
-PSI = (1 - math.sqrt(5)) / 2
-SQRT5 = math.sqrt(5)
-
 RESIDUAL_TOL = 1e-12
 DEFAULT_CERTIFY_PROBE = 70
 
 _REAL_EPS = 1e-9  # imaginary part below this means a real root
+_UNIT_EPS = 1e-9  # |r| < 1 + this counts as |r| <= 1: (HT)^j words have roots on |x| = 1
+_REPEAT_EPS = 1e-6  # numeric roots closer than this are taken as one repeated root
 
 
 @dataclass
@@ -43,13 +44,17 @@ class ClosedFormModel:
     """Denominator roots plus the largest n the rounding formula is certified for.
 
     Roots are ordered real-first by ascending magnitude, then complex with the
-    positive-imaginary member of each conjugate pair first.  Only
+    positive-imaginary member of each conjugate pair first.  ``weights`` are
+    -1/D'(r), aligned with ``roots``, and 0 at the exact root x = 1, whose
+    part is the polynomial ``unit_slope * n + unit_intercept``.  Only
     ``reliability_horizon`` is ever mutated (by ``certify_horizon``).
     """
 
     word: Word
     roots: tuple[complex, ...]
-    leading_term_scale: complex
+    weights: tuple[complex, ...]
+    unit_slope: float
+    unit_intercept: float
     reliability_horizon: int
 
 
@@ -74,75 +79,85 @@ def _polish_root(z: complex, coeffs: tuple[float, ...]) -> complex:
     return z
 
 
-def _quadratic_roots(coeffs: tuple[float, ...]) -> list[complex]:
-    c0, c1, c2 = coeffs
-    disc = c1 * c1 - 4 * c2 * c0
-    root = math.sqrt(disc) if disc >= 0 else complex(0, math.sqrt(-disc))
-    return [(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)]
-
-
-def _ordered(roots: list[complex]) -> list[complex]:
+def _ordered(poles: list[tuple[complex, complex]]) -> list[tuple[complex, complex]]:
+    """(root, weight) pairs in the documented root order, conjugates pinned exactly."""
     reals = sorted(
-        (complex(z.real, 0.0) for z in roots if abs(z.imag) < _REAL_EPS),
-        key=lambda z: (abs(z), z.real),
+        (
+            (complex(z.real, 0.0), complex(c.real, 0.0))
+            for z, c in poles
+            if abs(z.imag) < _REAL_EPS
+        ),
+        key=lambda p: (abs(p[0]), p[0].real),
     )
-    others = sorted(
-        (z for z in roots if abs(z.imag) >= _REAL_EPS),
-        key=lambda z: (abs(z), -z.imag),
+    upper = sorted(
+        ((z, c) for z, c in poles if z.imag >= _REAL_EPS), key=lambda p: abs(p[0])
     )
-    if len(others) == 2:
-        # conjugate pair: pin the symmetry exactly
-        others[1] = others[0].conjugate()
-    return reals + others
+    return reals + [
+        pair for z, c in upper for pair in ((z, c), (z.conjugate(), c.conjugate()))
+    ]
 
 
 def solve_denominator(w: Word, probe: int = DEFAULT_CERTIFY_PROBE) -> ClosedFormModel:
-    """Solve the closed-form denominator and certify the rounding horizon.
+    """Solve D(x) = 0 and certify the rounding horizon.
 
-    Degree 2 uses the quadratic formula; degree 3 goes through the numpy
+    Factors of x - 1 are divided out exactly; the rest goes through the numpy
     companion-matrix solver with Newton polishing.  Residuals above
-    RESIDUAL_TOL indicate a solver failure and raise.
+    RESIDUAL_TOL, or two roots that coincide, indicate a solver failure (the
+    partial fractions need simple roots) and raise.
     """
-    f = closed_gf(w)
-    coeffs = tuple(float(c) for c in f.den.coeffs)
-    if len(coeffs) == 3:
-        raw = _quadratic_roots(coeffs)
-    else:
-        raw = [complex(z) for z in np.roots(coeffs[::-1])]
-    roots = _ordered([_polish_root(z, coeffs) for z in raw])
-    worst = max(abs(_ceval(coeffs, z)) for z in roots)
+    k = len(w)
+    den = _denominator(w)
+    quot, unit = den, 0
+    while sum(quot) == 0:  # D(1) = 0: divide by x - 1, exactly
+        quot = tuple(-s for s in itertools.accumulate(quot))[:-1]
+        unit += 1
+    coeffs = tuple(map(float, quot))
+    found = [_polish_root(complex(z), coeffs) for z in np.roots(coeffs[::-1])]
+    worst = max((abs(_ceval(coeffs, z)) for z in found), default=0.0)
     if worst > RESIDUAL_TOL:
         raise ArithmeticError(
             f"root polishing for {w} stalled at residual {worst:.3e}"
         )
-    rep = w.representative().letters
-    if rep in ("HHH", "HTH"):
-        a, b, c = roots
-        scale = 1.0 / ((a - b) * (a - c))
-    elif rep in ("HH", "HHT", "HTT"):
-        scale = complex(1 / SQRT5)
+    if any(abs(a - b) < _REPEAT_EPS for a, b in itertools.combinations(found, 2)):
+        raise ArithmeticError(f"denominator of {w} has a repeated root")
+    deriv = tuple(float(j * d) for j, d in enumerate(den))[1:]
+    poles = [(z, -1 / _ceval(deriv, z)) for z in found] + [(1 + 0j, 0j)] * unit
+    roots, weights = zip(*_ordered(poles))
+    # The pole at x = 1 contributes -Res x**(k-1-n) / D(x) there: a constant
+    # for a simple pole, and linear in n for the double pole of HT.
+    q1, dq1 = sum(quot), sum(j * q for j, q in enumerate(quot))
+    if unit == 2:
+        unit_slope, unit_intercept = 1 / q1, (1 - k) / q1 + dq1 / q1**2
     else:
-        scale = complex(1.0)
+        unit_slope, unit_intercept = 0.0, -unit / q1
     model = ClosedFormModel(
-        word=w, roots=tuple(roots), leading_term_scale=scale, reliability_horizon=0
+        word=w,
+        roots=roots,
+        weights=weights,
+        unit_slope=unit_slope,
+        unit_intercept=unit_intercept,
+        reliability_horizon=0,
     )
     certify_horizon(model, probe)
     return model
 
 
+def _root_terms(model: ClosedFormModel, n: int, inside: bool) -> complex:
+    """Sum of -r**(k-1-n)/D'(r) over the roots with |r| <= 1 (or > 1 if not inside)."""
+    k = len(model.word)
+    total = 0j
+    for z, c in zip(model.roots, model.weights):
+        if c and (abs(z) < 1 + _UNIT_EPS) == inside:
+            total += c * z ** (k - 1 - n)
+    return total
+
+
 def _formula_value(model: ClosedFormModel, n: int) -> int:
     """The rounded closed-form count, with no horizon guard."""
-    rep = model.word.representative().letters
-    if rep == "HT":
-        return round(float(n) - 1.0)
-    if rep == "HH":
-        return round(GOLDEN ** (n - 1) / SQRT5)
-    if rep in ("HHT", "HTT"):
-        return round(GOLDEN**n / SQRT5) - 1
-    if rep == "HTH" and n < 3:
-        return 0  # the rounding form only starts at n = 3
-    lead = model.leading_term_scale * model.roots[0] ** (2 - n)
-    return round(lead.real)
+    if n < len(model.word):
+        return 0
+    unit_part = model.unit_slope * n + model.unit_intercept
+    return round(unit_part + _root_terms(model, n, True).real)
 
 
 def closed_form_count(model: ClosedFormModel, n: int) -> int:
@@ -178,46 +193,24 @@ def certify_horizon(model: ClosedFormModel, n_probe: int) -> int:
 
 
 def root_formula_count(model: ClosedFormModel, n: int) -> complex:
-    """Full three-root expression for a(n), evaluated in complex floats.
+    """Full partial-fraction expression for a(n), n >= 1, in complex floats.
 
-    (a**(2-n)(b-c) - b**(2-n)(a-c) + c**(2-n)(a-b)) / (C (a-b)(a-c)(b-c))
-    where a, b, c are the denominator roots and C the cubic's leading
-    recurrence coefficient.  The value is permutation-invariant in the roots;
-    its imaginary part measures only floating noise.
+    The exact part from x = 1 plus -r**(k-1-n)/D'(r) over every other root r.
+    Its imaginary part measures only floating noise.
     """
-    if len(model.word) != 3:
-        raise ValueError("the root formula applies to length-3 words only")
-    a, b, c = model.roots
-    cc = builtin_spec(model.word).coefficients[2]
-    num = (
-        a ** (2 - n) * (b - c)
-        - b ** (2 - n) * (a - c)
-        + c ** (2 - n) * (a - b)
+    return (
+        model.unit_slope * n
+        + model.unit_intercept
+        + _root_terms(model, n, True)
+        + _root_terms(model, n, False)
     )
-    return num / (cc * (a - b) * (a - c) * (b - c))
 
 
 def secondary_term(model: ClosedFormModel, n: int) -> float:
     """Magnitude of the part the rounding formula throws away at n.
 
-    Rounding recovers the exact count precisely when this stays below 1/2
-    (for HTH that is only claimed from n = 3 on).
+    That is the terms of the roots with |r| > 1.  Rounding recovers the exact
+    count precisely when this stays below 1/2 (for HTH that is only claimed
+    from n = 3 on).
     """
-    rep = model.word.representative().letters
-    if rep == "HT":
-        return 0.0
-    if rep == "HH":
-        return abs(PSI ** (n - 1) / SQRT5)
-    if rep in ("HHT", "HTT"):
-        return abs(PSI**n / SQRT5)
-    lead = model.leading_term_scale * model.roots[0] ** (2 - n)
-    return abs(root_formula_count(model, n) - lead)
-
-
-def roots_csv(model: ClosedFormModel) -> str:
-    """CSV of the solved roots, 12 significant digits."""
-    lines = ["word,root_re,root_im"]
-    lines.extend(
-        f"{model.word},{z.real:.12g},{z.imag:.12g}" for z in model.roots
-    )
-    return "\n".join(lines) + "\n"
+    return abs(_root_terms(model, n, False))

@@ -1,10 +1,16 @@
 """Exact integer sequences a(n) of first-occurrence counts.
 
 a(n) is the number of length-n toss records whose first occurrence of a
-pattern ends at toss n.  Patterns of length 2 or 3 have built-in linear
-recurrences with small integer coefficients; arbitrary patterns are counted
-by a dynamic program over the prefix-match states of the pattern automaton.
-All arithmetic uses Python's unbounded integers.
+pattern ends at toss n.  Every pattern of length k has a linear recurrence
+of order k read off its autocorrelation polynomial c(x) = sum x**i over the
+shifts i at which the pattern overlaps itself (i = 0 always counts): the
+counts are the Taylor coefficients of x**k / D(x) with
+
+    D(x) = x**k + (1 - 2x) c(x)        (Guibas & Odlyzko, JCTA 1981)
+
+and D(0) = 1.  An independent dynamic program over the prefix-match states
+of the pattern automaton counts the same sequence.  All arithmetic uses
+Python's unbounded integers.
 """
 
 from dataclasses import dataclass
@@ -24,16 +30,21 @@ __all__ = [
 
 ESSENTIAL_WORDS = tuple(Word(s) for s in ("HT", "HH", "HHH", "HHT", "HTT", "HTH"))
 
-# representative letters -> (coefficients, initial values); coefficients apply
-# to the most recent terms first: a(n) = sum(c[i] * a(n - 1 - i))
-_BUILTIN = {
-    "HT": ((2, -1), (0, 1)),
-    "HH": ((1, 1), (0, 1)),
-    "HHH": ((1, 1, 1), (0, 0, 1)),
-    "HHT": ((2, 0, -1), (0, 0, 1)),
-    "HTT": ((2, 0, -1), (0, 0, 1)),
-    "HTH": ((2, -1, 1), (0, 0, 1)),
-}
+
+def _overlaps(w: Word) -> tuple[int, ...]:
+    """Shifts i in 0..k-1 at which ``w`` matches itself; i = 0 always does."""
+    s, k = w.letters, len(w)
+    return tuple(i for i in range(k) if s[i:] == s[: k - i])
+
+
+def _denominator(w: Word) -> tuple[int, ...]:
+    """Coefficients D_0..D_k of D(x) = x**k + (1 - 2x) c(x); D_0 = 1, D_k = +-1."""
+    den = [0] * (len(w) + 1)
+    den[-1] = 1
+    for i in _overlaps(w):
+        den[i] += 1
+        den[i + 1] -= 2
+    return tuple(den)
 
 
 @dataclass(frozen=True)
@@ -77,23 +88,16 @@ class CountSequence:
 
 
 def builtin_spec(w: Word) -> RecurrenceSpec:
-    """The built-in recurrence for a pattern of length 2 or 3.
+    """The order-k recurrence of ``w`` read off D(x).
 
-    Complement pairs share one spec: TTH gets the HHT recurrence, and so on.
+    Coefficients are -D_1..-D_k and the initial values are a(1..k) =
+    (0, ..., 0, 1).  Complement pairs share one spec, since overlaps are
+    invariant under swapping H and T.
     """
-    rep = w.representative().letters
-    if rep not in _BUILTIN:
-        if len(w) >= 4:
-            raise ValueError(
-                f"no built-in recurrence for {w} (length {len(w)}): "
-                "use automaton_counts for longer patterns"
-            )
-        raise ValueError(
-            f"no built-in recurrence for {w}: only lengths 2 and 3 are covered"
-        )
-    coeffs, init = _BUILTIN[rep]
+    k = len(w)
+    coeffs = tuple(-d for d in _denominator(w)[1:])
     return RecurrenceSpec(
-        order=len(coeffs), coefficients=coeffs, initial_values=init, word=w
+        order=k, coefficients=coeffs, initial_values=(0,) * (k - 1) + (1,), word=w
     )
 
 
@@ -102,8 +106,9 @@ def extend_counts(spec: RecurrenceSpec, n_max: int) -> CountSequence:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     values = list(spec.initial_values[:n_max])
+    terms = [(-1 - i, c) for i, c in enumerate(spec.coefficients) if c]
     for _ in range(len(values), n_max):
-        values.append(sum(c * values[-1 - i] for i, c in enumerate(spec.coefficients)))
+        values.append(sum(c * values[i] for i, c in terms))
     return CountSequence(word=spec.word, values=tuple(values))
 
 
@@ -169,13 +174,10 @@ def automaton_counts(w: Word, n_max: int) -> CountSequence:
 def counts(w: Word, n_max: int, engine: str = "auto") -> CountSequence:
     """Counts for ``w`` up to ``n_max`` using the requested engine.
 
-    ``auto`` picks the built-in recurrence when available, the automaton
-    otherwise.  ``brute`` is capped (see words.enumeration_cap) and intended
-    for cross-validation.
+    ``auto`` is the recurrence, which covers every pattern.  ``brute`` is
+    capped (see words.enumeration_cap) and intended for cross-validation.
     """
-    if engine == "auto":
-        engine = "recurrence" if w.representative().letters in _BUILTIN else "automaton"
-    if engine == "recurrence":
+    if engine in ("auto", "recurrence"):
         return extend_counts(builtin_spec(w), n_max)
     if engine == "automaton":
         return automaton_counts(w, n_max)
@@ -183,5 +185,5 @@ def counts(w: Word, n_max: int, engine: str = "auto") -> CountSequence:
         values = tuple(brute_force_count(w, n) for n in range(1, n_max + 1))
         return CountSequence(word=w, values=values)
     raise ValueError(
-        f"unknown engine {engine!r}: expected recurrence, automaton, or brute"
+        f"unknown engine {engine!r}: expected auto, recurrence, automaton, or brute"
     )

@@ -2,8 +2,9 @@
 
 The power series of interest carry the first-occurrence counts a(n) as
 coefficients: ``finite_gf`` is the degree-m partial sum with a(n) on x**n,
-and every built-in pattern has a closed rational form whose Taylor expansion
-at 0 reproduces the whole sequence.  Evaluating the partial sum at 1/2 gives
+and every pattern has the closed rational form x**k / D(x), built on its
+autocorrelation denominator D (see ``counting``), whose Taylor expansion at
+0 reproduces the whole sequence.  Evaluating the partial sum at 1/2 gives
 the probability of seeing the pattern within m tosses, which is what makes
 these objects worth manipulating exactly.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "RationalFunction",
     "closed_gf",
     "finite_gf",
-    "poly_gcd",
     "truncation_remainder",
 ]
 
@@ -134,15 +134,6 @@ class Polynomial:
         return " ".join(parts)
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a * (Fraction(1) / a.coeffs[-1])
-
-
 @dataclass(frozen=True, eq=False)
 class RationalFunction:
     """Quotient of two exact polynomials; equality is by cross-multiplication."""
@@ -153,24 +144,6 @@ class RationalFunction:
     def __post_init__(self) -> None:
         if self.den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-
-    def reduced(self) -> "RationalFunction":
-        """Divide out the polynomial gcd and rescale.
-
-        The lowest-order nonzero denominator coefficient is scaled to +1 or
-        -1 (sign preserved), which keeps the printable built-in forms fixed.
-        """
-        num, den = self.num, self.den
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
-        anchor = next(c for c in den.coeffs if c != 0)
-        scale = Fraction(1) / abs(anchor)
-        if scale != 1:
-            num = num * scale
-            den = den * scale
-        return RationalFunction(num, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):
@@ -190,7 +163,7 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def derivative(self) -> "RationalFunction":
-        """Quotient-rule derivative, left unreduced (reduction happens on demand)."""
+        """Quotient-rule derivative, left unreduced."""
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
@@ -233,23 +206,16 @@ def finite_gf(w: Word, m: int) -> Polynomial:
 
 
 def closed_gf(w: Word) -> RationalFunction:
-    """Closed rational form whose Taylor coefficients at 0 are the counts a(n).
+    """Closed rational form x**k / D(x) whose Taylor coefficients at 0 are a(n).
 
-    Only patterns of length 2 or 3 are covered; complements share one form.
-    For length 3 the denominator is C x**3 + B x**2 + A x - 1 with (A, B, C)
-    the recurrence coefficients.
+    Written as (-x**k) / (-D(x)), so the denominator is
+    -1 + A x + B x**2 + ... with (A, B, ...) the recurrence coefficients of
+    ``builtin_spec``.  The numerator is a power of x and D(0) = 1, so the form
+    is always in lowest terms.  Complements share one form.
     """
-    rep = w.representative().letters
-    if rep == "HT":
-        return RationalFunction(Polynomial((0, 0, 1)), Polynomial((1, -2, 1)))
-    if rep == "HH":
-        return RationalFunction(Polynomial((0, 0, -1)), Polynomial((-1, 1, 1)))
-    if len(rep) == 3:
-        a, b, c = builtin_spec(w).coefficients
-        return RationalFunction(Polynomial((0, 0, 0, -1)), Polynomial((-1, a, b, c)))
-    raise ValueError(
-        f"no closed generating function for {w} (length {len(w)}): "
-        "only lengths 2 and 3 are covered"
+    spec = builtin_spec(w)
+    return RationalFunction(
+        Polynomial.monomial(spec.order, -1), Polynomial((-1, *spec.coefficients))
     )
 
 

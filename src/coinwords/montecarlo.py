@@ -14,8 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import transition_table
-from .stats import pmf
+from .counting import counts, transition_table
 from .words import Word
 
 __all__ = [
@@ -188,9 +187,11 @@ def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
 def histogram_csv(summary: EmpiricalSummary) -> str:
     """CSV of the waiting-time histogram against the exact pmf."""
     lines = ["n,empirical_count,empirical_p,exact_p"]
-    for n, c in summary.histogram.items():
-        emp = Fraction(c, summary.trials)
-        lines.append(f"{n},{c},{emp},{pmf(summary.word, n).as_fraction()}")
+    if summary.histogram:
+        seq = counts(summary.word, max(summary.histogram))
+        for n, c in summary.histogram.items():
+            emp = Fraction(c, summary.trials)
+            lines.append(f"{n},{c},{emp},{Fraction(seq.at(n), 1 << n)}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,8 +2,11 @@
 
 Every fair-coin probability here is a dyadic rational a(n)/2**n, so the
 module keeps an exact dyadic type for distribution values and plain
-``fractions.Fraction`` for moments.  Floating point only ever appears in the
-displayed standard deviation.
+``fractions.Fraction`` for moments.  Tails have a second route through the
+avoidance counts, and the moments are closed sums over the pattern's
+self-overlaps; both come from the autocorrelation polynomial that also
+drives the counts (see ``counting``).  Floating point only ever appears in
+the displayed standard deviation.
 """
 
 import itertools
@@ -11,8 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import counts
-from .genfun import closed_gf
+from .counting import RecurrenceSpec, _overlaps, builtin_spec, counts, extend_counts
 from .words import Word
 
 __all__ = [
@@ -46,9 +48,9 @@ class DyadicRational:
         if num == 0:
             k = 0
         else:
-            while num % 2 == 0 and k > 0:
-                num //= 2
-                k -= 1
+            shift = min((num & -num).bit_length() - 1, k)
+            num >>= shift
+            k -= shift
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "exponent", k)
 
@@ -139,51 +141,40 @@ def tail(w: Word, n: int) -> DyadicRational:
 
 
 def closed_tail(w: Word, n: int) -> DyadicRational:
-    """Tail probability via the per-pattern closed identities in the counts.
+    """Tail probability via the avoidance counts: b(n-1) / 2**(n-1).
 
-    An independent route to the same value as :func:`tail`:
-
-      HT       n / 2**(n-1)
-      HH       a(n+2) / 2**(n-1)
-      HHH      (2 a(n+2) - a(n-1)) / 2**(n-1)
-      HHT/HTT  (2 a(n+1) - a(n-1)) / 2**(n-1)
-      HTH      (2 a(n+1) + a(n-1)) / 2**(n-1)
-
-    Each identity holds from n = 2 on (n = 1 is trivially 1: the pattern
-    cannot have occurred before any toss).  Built-in patterns only.
+    b(m) counts the length-m toss records that avoid the pattern; it is the
+    coefficient sequence of c(x)/D(x), so it runs on the same recurrence as
+    the first-occurrence counts, seeded with b(m) = 2**m for m < k.  An
+    independent route to the same value as :func:`tail`.
     """
     if n < 1:
         raise ValueError(f"toss index must be >= 1, got {n}")
-    rep = w.representative().letters
-    if n == 1:
-        return DYADIC_ONE
-    if rep == "HT":
-        return DyadicRational(n, n - 1)
-    seq = counts(w, n + 2, engine="recurrence")  # raises for unsupported words
-    if rep == "HH":
-        num = seq.at(n + 2)
-    elif rep == "HHH":
-        num = 2 * seq.at(n + 2) - seq.at(n - 1)
-    elif rep in ("HHT", "HTT"):
-        num = 2 * seq.at(n + 1) - seq.at(n - 1)
-    else:  # HTH
-        num = 2 * seq.at(n + 1) + seq.at(n - 1)
-    return DyadicRational(num, n - 1)
+    spec = builtin_spec(w)
+    avoiding = RecurrenceSpec(
+        order=spec.order,
+        coefficients=spec.coefficients,
+        initial_values=tuple(1 << m for m in range(spec.order)),
+    )
+    return DyadicRational(extend_counts(avoiding, n).at(n), n - 1)
 
 
 def moments(w: Word) -> WordStats:
-    """Exact mean and variance from derivatives of the closed form at 1/2.
+    """Exact mean and variance as sums over the self-overlap shifts i.
 
-    mean = f'(1/2)/2 and variance = f''(1/2)/4 + mean - mean**2, valid because
-    every built-in denominator's smallest root lies strictly beyond 1/2.
+    mean = sum 2**(k-i) and variance = mean**2 + mean - 2 sum (k-i) 2**(k-i),
+    which is f'(1/2)/2 and f''(1/2)/4 + mean - mean**2 for the closed form f.
     """
-    f = closed_gf(w)
-    half = Fraction(1, 2)
-    d1 = f.derivative()
-    mean = half * d1(half)
-    second = Fraction(1, 4) * d1.derivative()(half) + mean
-    variance = second - mean * mean
-    return WordStats(word=w, mean=mean, variance=variance, stddev=math.sqrt(variance))
+    k = len(w)
+    shifts = _overlaps(w)
+    mean = sum(1 << (k - i) for i in shifts)
+    variance = mean * mean + mean - 2 * sum((k - i) << (k - i) for i in shifts)
+    return WordStats(
+        word=w,
+        mean=Fraction(mean),
+        variance=Fraction(variance),
+        stddev=math.sqrt(variance),
+    )
 
 
 def threshold(w: Word, q: Fraction | float | str) -> int:

@@ -38,10 +38,13 @@ class TestCounts:
         _, brute_out, _ = run_cli(capsys, "counts", "HTHT", "10", "--engine", "brute")
         assert auto_out == brute_out
 
-    def test_recurrence_engine_rejects_long_word(self, capsys):
-        code, _, err = run_cli(capsys, "counts", "HTHT", "10", "--engine", "recurrence")
-        assert code == 2
-        assert "automaton" in err
+    def test_recurrence_engine_answers_long_word(self, capsys):
+        argv = ("counts", "HTHT", "10", "--engine")
+        code, rec_out, _ = run_cli(capsys, *argv, "recurrence")
+        _, auto_out, _ = run_cli(capsys, *argv, "automaton")
+        assert code == 0
+        assert rec_out == auto_out
+        assert rec_out.strip() == "0, 0, 0, 1, 2, 3, 6, 12, 22, 41"
 
     def test_invalid_word_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "counts", "HXT", "15")
@@ -92,10 +95,11 @@ class TestGf:
         assert "partial m=6: x^2 + x^3 + 2*x^4 + 3*x^5 + 5*x^6" in out
         assert "closed: (-x^2)/(-1 + x + x^2)" in out
 
-    def test_long_word_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "gf", "HTHT")
-        assert code == 2
-        assert "length" in err
+    def test_long_word_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "gf", "HTHT", "--m", "6")
+        assert code == 0
+        assert "partial m=6: x^4 + 2*x^5 + 3*x^6" in out
+        assert "closed: (-x^4)/(-1 + 2*x - x^2 + 2*x^3 - x^4)" in out
 
 
 class TestStats:
@@ -112,6 +116,11 @@ class TestStats:
         word, mean, variance, stddev = lines[1].split(",")
         assert (word, mean, variance) == ("HTH", "10", "58")
         assert float(stddev) == pytest.approx(58**0.5)
+
+    def test_long_word(self, capsys):
+        code, out, _ = run_cli(capsys, "stats", "HTHT")
+        assert code == 0
+        assert "mean=20 variance=276" in out
 
 
 class TestTail:
@@ -154,6 +163,12 @@ class TestSimulate:
         _, one, _ = run_cli(capsys, *base, "--workers", "1")
         _, four, _ = run_cli(capsys, *base, "--workers", "4")
         assert one == four
+
+    def test_long_word_prints_exact_moments(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "HTHT", "--trials", "5000", "--seed", "2")
+        assert code == 0
+        assert "exact_mean=20 " in out
+        assert "exact_variance=276 " in out
 
     def test_csv_blocks_parse(self, capsys):
         code, out, _ = run_cli(

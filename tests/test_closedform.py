@@ -2,22 +2,47 @@ import math
 
 import pytest
 
+from coinwords import closedform
 from coinwords.closedform import (
     RESIDUAL_TOL,
     certify_horizon,
     closed_form_count,
     root_formula_count,
-    roots_csv,
     secondary_term,
     solve_denominator,
 )
 from coinwords.counting import builtin_spec, extend_counts
-from coinwords.genfun import closed_gf
-from coinwords.words import Word
+from coinwords.genfun import Polynomial, closed_gf
+from coinwords.words import Word, all_words
 
 ESSENTIAL = ("HT", "HH", "HHH", "HHT", "HTT", "HTH")
 
 GOLDEN_RATIO_CONJUGATES = ((-1 + math.sqrt(5)) / 2, (-1 - math.sqrt(5)) / 2)
+
+SHORT_WORDS = [w for k in range(1, 9) for w in all_words(k)]
+PRIME = 2**31 - 1
+
+
+def _gcd_degree_mod_prime(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) over GF(PRIME); coefficients ascending."""
+
+    def trim(p):
+        p = [c % PRIME for c in p]
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, PRIME)
+        while len(a) >= len(b):
+            f = a[-1] * inv
+            off = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[off + i] -= f * c
+            a = trim(a)
+        a, b = b, a
+    return len(a) - 1
 
 
 def _den_residual(w: Word, z: complex) -> float:
@@ -122,6 +147,12 @@ class TestCertifyHorizon:
         h = certify_horizon(model, 40)
         assert model.reliability_horizon == h == 40
 
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_every_word_certifies_fifty_at_probe_70(self, length):
+        for w in all_words(length):
+            model = solve_denominator(w, probe=70)
+            assert model.reliability_horizon >= 50, w
+
     def test_double_precision_eventually_fails(self):
         # pushing the probe far enough must stop the horizon short
         model = solve_denominator(Word("HHH"))
@@ -160,20 +191,51 @@ class TestRootFormula:
             assert abs(value.imag) < 1e-6
             assert round(value.real) == exact.at(n)
 
-    def test_rejects_two_letter_words(self):
-        model = solve_denominator(Word("HH"))
-        with pytest.raises(ValueError):
-            root_formula_count(model, 5)
+    @pytest.mark.parametrize("letters", ["H", "HT", "TT", "HTHT", "HHTHTTHH"])
+    def test_covers_every_length(self, letters):
+        w = Word(letters)
+        model = solve_denominator(w)
+        exact = extend_counts(builtin_spec(w), 30)
+        for n in range(1, 31):
+            value = root_formula_count(model, n)
+            assert abs(value.imag) < 1e-6
+            assert round(value.real) == exact.at(n)
 
 
-class TestCsv:
-    def test_twelve_significant_digits(self):
-        model = solve_denominator(Word("HHH"))
-        text = roots_csv(model)
-        lines = text.strip().splitlines()
-        assert lines[0] == "word,root_re,root_im"
-        assert len(lines) == 4
-        word, re_, im = lines[1].split(",")
-        assert word == "HHH"
-        assert abs(float(re_) - 0.5436890126920763) < 1e-11
-        assert float(im) == 0.0
+class TestUnitRoot:
+    def test_present_exactly_without_proper_self_overlap(self):
+        for w in SHORT_WORDS:
+            model = solve_denominator(w)
+            unit = sum(z == 1 for z in model.roots)
+            s = w.letters
+            overlapping = any(s[i:] == s[: len(s) - i] for i in range(1, len(s)))
+            assert unit == (0 if overlapping else 2 if len(w) == 2 else 1), w
+
+    def test_ht_part_is_n_minus_one(self):
+        model = solve_denominator(Word("HT"))
+        assert (model.unit_slope, model.unit_intercept) == (1, -1)
+
+    def test_hht_part_is_minus_one(self):
+        model = solve_denominator(Word("HHT"))
+        assert (model.unit_slope, model.unit_intercept) == (0, -1)
+
+    def test_quotient_has_simple_roots_up_to_length_12(self):
+        # checked exactly: gcd(Q, Q') is constant over GF(p), and Q's leading
+        # coefficient is +-1, so Q is squarefree over the rationals too
+        factor = Polynomial((-1, 1))
+        for k in range(1, 13):
+            for w in all_words(k):
+                if w.letters[0] != "H":
+                    continue
+                quot = closed_gf(w).den
+                while quot(1) == 0:
+                    quot = divmod(quot, factor)[0]
+                q = [int(c) for c in quot.coeffs]
+                dq = [int(c) for c in quot.derivative().coeffs]
+                assert quot.degree == 0 or _gcd_degree_mod_prime(q, dq) == 0, w
+
+    def test_repeated_root_raises(self, monkeypatch):
+        root = GOLDEN_RATIO_CONJUGATES[0]
+        monkeypatch.setattr(closedform.np, "roots", lambda coeffs: [root, root])
+        with pytest.raises(ArithmeticError, match="repeated root"):
+            solve_denominator(Word("HH"))

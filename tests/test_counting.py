@@ -12,7 +12,7 @@ from coinwords.counting import (
     extend_counts,
     transition_table,
 )
-from coinwords.words import Word, brute_force_count
+from coinwords.words import Word, all_words, brute_force_count
 
 # First 15 terms for the length-3 patterns, frozen from the reference tables.
 GOLDEN_ROWS = {
@@ -43,6 +43,8 @@ class TestBuiltinSpec:
             ("THH", (2, 0, -1), (0, 0, 1)),
             ("HTH", (2, -1, 1), (0, 0, 1)),
             ("THT", (2, -1, 1), (0, 0, 1)),
+            ("H", (1,), (1,)),
+            ("HTHT", (2, -1, 2, -1), (0, 0, 0, 1)),
         ],
     )
     def test_table(self, letters, coeffs, init):
@@ -51,13 +53,15 @@ class TestBuiltinSpec:
         assert spec.initial_values == init
         assert spec.order == len(coeffs)
 
-    def test_rejects_long_words_pointing_at_automaton(self):
-        with pytest.raises(ValueError, match="automaton_counts"):
-            builtin_spec(Word("HTHT"))
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_every_word_matches_automaton_to_60(self, length):
+        for w in all_words(length):
+            spec = builtin_spec(w)
+            assert spec.order == length
+            assert extend_counts(spec, 60).values == automaton_counts(w, 60).values, w
 
-    def test_rejects_single_letter(self):
-        with pytest.raises(ValueError, match="lengths 2 and 3"):
-            builtin_spec(Word("H"))
+    def test_single_letter_first_occurs_once_per_length(self):
+        assert extend_counts(builtin_spec(Word("H")), 6).values == (1,) * 6
 
     def test_spec_shape_validation(self):
         with pytest.raises(ValueError):

@@ -4,19 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwords.counting import builtin_spec, extend_counts
+from coinwords.counting import builtin_spec, counts, extend_counts
 from coinwords.genfun import (
     PoleError,
     Polynomial,
     RationalFunction,
     closed_gf,
     finite_gf,
-    poly_gcd,
     truncation_remainder,
 )
-from coinwords.words import Word
+from coinwords.words import Word, all_words
 
 HALF = Fraction(1, 2)
+SHORT_WORDS = [w for k in range(1, 9) for w in all_words(k)]
 
 fractions_st = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -78,12 +78,6 @@ class TestPolynomial:
         lhs = (p * q).derivative()
         assert lhs == p.derivative() * q + p * q.derivative()
 
-    def test_gcd(self):
-        a = Polynomial((1, -2, 1))  # (1-x)^2
-        b = Polynomial((-1, 1))  # x - 1
-        g = poly_gcd(a, b)
-        assert g == Polynomial((-1, 1))  # monic x - 1
-
 
 class TestFiniteGf:
     def test_ht_m3(self):
@@ -109,8 +103,8 @@ class TestFiniteGf:
 class TestClosedGf:
     def test_ht_form(self):
         f = closed_gf(Word("HT"))
-        assert f.num == Polynomial((0, 0, 1))
-        assert f.den == Polynomial((1, -2, 1))
+        assert f.num == Polynomial((0, 0, -1))
+        assert f.den == Polynomial((-1, 2, -1))
 
     def test_hh_form(self):
         f = closed_gf(Word("HH"))
@@ -131,9 +125,18 @@ class TestClosedGf:
         assert closed_gf(Word("TH")) == closed_gf(Word("HT"))
         assert closed_gf(Word("THT")) == closed_gf(Word("HTH"))
 
-    def test_rejects_long_words(self):
-        with pytest.raises(ValueError, match="length"):
-            closed_gf(Word("HTHT"))
+    def test_long_word_form(self):
+        f = closed_gf(Word("HTHT"))
+        assert f.num == Polynomial((0, 0, 0, 0, -1))
+        assert f.den == Polynomial((-1, 2, -1, 2, -1))
+
+    def test_every_form_in_lowest_terms(self):
+        # the numerator is -x**k and den(0) = -1, so no common factor exists
+        for w in SHORT_WORDS:
+            f = closed_gf(w)
+            assert f.num == Polynomial.monomial(len(w), -1), w
+            assert f.den(0) == -1, w
+            assert f.den.degree == len(w), w
 
 
 class TestDerivative:
@@ -212,21 +215,13 @@ class TestSeries:
         for n in range(1, 61):
             assert coeffs[n] == seq.at(n)
 
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_every_word_series_matches_counts_to_60(self, length):
+        for w in all_words(length):
+            assert closed_gf(w).series(60) == (0, *counts(w, 60).values), w
+
 
 class TestReducedForm:
-    def test_reduction_divides_common_factor(self):
-        f = RationalFunction(
-            Polynomial((0, 2, -2)), Polynomial((1, -4, 6, -4, 1))
-        ).reduced()
-        assert f == RationalFunction(Polynomial((0, 2)), Polynomial((1, -3, 3, -1)))
-        assert f.den.degree == 3
-
-    def test_builtin_forms_are_fixed_points(self):
-        for letters in ("HT", "HH", "HHH", "HHT", "HTT", "HTH"):
-            f = closed_gf(Word(letters))
-            r = f.reduced()
-            assert (r.num, r.den) == (f.num, f.den)
-
     def test_cross_multiplication_equality_ignores_scaling(self):
         f = RationalFunction(Polynomial((0, 1)), Polynomial((1, 1)))
         g = RationalFunction(Polynomial((0, 3)), Polynomial((3, 3)))

@@ -133,6 +133,22 @@ class TestCsv:
             assert Fraction(exact) == pmf(s.word, int(n)).as_fraction()
         assert total == s.count
 
+    def test_histogram_matches_per_bin_pmf_route(self):
+        s = run_trials(TrialConfig(word=Word("HTH"), trials=20_000, seed=21))
+        per_bin = ["n,empirical_count,empirical_p,exact_p"]
+        for n, c in s.histogram.items():
+            exact = pmf(s.word, n).as_fraction()
+            per_bin.append(f"{n},{c},{Fraction(c, s.trials)},{exact}")
+        assert histogram_csv(s) == "\n".join(per_bin) + "\n"
+
+    def test_histogram_of_all_truncated_run_is_header_only(self):
+        cfg = TrialConfig(
+            word=Word("HHHHHHHHHH"), trials=10, seed=5, max_tosses_per_trial=10
+        )
+        s = run_trials(cfg)
+        assert s.truncated == s.trials and not s.histogram
+        assert histogram_csv(s) == "n,empirical_count,empirical_p,exact_p\n"
+
     def test_summary_line(self):
         cfg = TrialConfig(word=Word("HT"), trials=1_000, seed=6)
         s = run_trials(cfg)

@@ -1,0 +1,32 @@
+"""Smoke tests: the scripts under scripts/ run to completion on the current API."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def test_reproduce_tables():
+    proc = run_script("reproduce_tables.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "HTH  mean=10  variance=58" in proc.stdout
+    assert "certified horizon" in proc.stdout
+
+
+def test_simulate_check():
+    proc = run_script("simulate_check.py", "--trials", "2000", "--workers", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "trials=2000" in proc.stdout
+    assert len(proc.stdout.strip().splitlines()) >= 8

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwords.genfun import finite_gf
+from coinwords.genfun import closed_gf, finite_gf
 from coinwords.stats import (
     DyadicRational,
     cdf,
@@ -16,10 +16,11 @@ from coinwords.stats import (
     tail,
     threshold,
 )
-from coinwords.words import Word, brute_force_count
+from coinwords.words import Word, all_words, brute_force_count
 
 ESSENTIAL = ("HT", "HH", "HHH", "HHT", "HTT", "HTH")
 ALL_BUILTINS = ESSENTIAL + ("TH", "TT", "TTT", "TTH", "THH", "THT")
+SHORT_WORDS = [w for k in range(1, 9) for w in all_words(k)]
 
 dyadics_st = st.tuples(
     st.integers(min_value=0, max_value=1 << 20), st.integers(min_value=0, max_value=24)
@@ -56,6 +57,12 @@ class TestDyadicRational:
     def test_comparisons_match_fractions(self, a, b):
         assert (a < b) == (a.as_fraction() < b.as_fraction())
         assert (a <= b) == (a.as_fraction() <= b.as_fraction())
+
+    @given(dyadics_st)
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_form(self, a):
+        assert a.numerator % 2 == 1 or a.exponent == 0
+        assert a.numerator == 0 or a.as_fraction().denominator == 1 << a.exponent
 
     @given(dyadics_st)
     @settings(max_examples=60, deadline=None)
@@ -150,9 +157,11 @@ class TestTail:
         for n in range(len(w), 40):
             assert tail(w, n + 1) < tail(w, n)
 
-    def test_closed_tail_rejects_unsupported_words(self):
-        with pytest.raises(ValueError):
-            closed_tail(Word("HTHT"), 5)
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_identity_route_agrees_for_every_word(self, length):
+        for w in all_words(length):
+            for n in range(1, 65):
+                assert tail(w, n) == closed_tail(w, n), f"{w} at n={n}"
 
 
 class TestMoments:
@@ -199,9 +208,23 @@ class TestMoments:
         assert abs(s1 - st_.mean) <= tol
         assert abs(s2 - (st_.variance + st_.mean**2)) <= tol
 
-    def test_rejects_long_words(self):
-        with pytest.raises(ValueError):
-            moments(Word("HTHT"))
+    @pytest.mark.parametrize(
+        "letters,mean,variance",
+        [("H", 2, 2), ("HTHT", 20, 276), ("HHHH", 30, 734), ("HHTT", 16, 144)],
+    )
+    def test_long_and_short_words(self, letters, mean, variance):
+        st_ = moments(Word(letters))
+        assert (st_.mean, st_.variance) == (mean, variance)
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_overlap_sums_match_closed_form_derivatives(self, length):
+        half = Fraction(1, 2)
+        for w in all_words(length):
+            d1 = closed_gf(w).derivative()
+            mean = d1(half) / 2
+            variance = d1.derivative()(half) / 4 + mean - mean * mean
+            st_ = moments(w)
+            assert (st_.mean, st_.variance) == (mean, variance), w
 
 
 class TestThreshold:
