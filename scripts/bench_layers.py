@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Layer timings of the exact and Monte Carlo hot paths, written as JSON.
+
+    python scripts/bench_layers.py --baseline 6825885      # writes BENCH_3.json
+    python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
+
+Each row is the median wall time, in milliseconds, over --repeats rounds.
+A round times one call of every case, after one warm-up call, in a fresh
+interpreter whose PYTHONPATH is one source tree's src/: the working tree,
+and with --baseline the given git revision, exported with ``git archive``
+into a temporary directory.  The trees take turns, round by round, so a
+drift in machine speed falls on both.  The file records the core count and
+the Python and numpy versions next to the rows.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LONG_WORD = "HTHTTHHTHT"
+
+
+def _cases() -> dict:
+    from fractions import Fraction
+
+    from coinwords import Word
+    from coinwords.counting import builtin_spec, extend_counts
+    from coinwords.montecarlo import TrialConfig, run_trials
+    from coinwords.stats import cdf, pmf, tail, threshold
+    from coinwords.verify import run_checks
+
+    hth, long_word = Word("HTH"), Word(LONG_WORD)
+    deep = Fraction("1e-100")
+    cases = {"extend_counts HTH n=20000": lambda: extend_counts(builtin_spec(hth), 20000)}
+    for w in (hth, long_word):
+        for f in (pmf, tail, cdf):
+            cases[f"{f.__name__} {w} n=20000"] = lambda f=f, w=w: f(w, 20000)
+    for letters in ("HHH", "HTH"):
+        cases[f"threshold {letters} q=1e-100"] = lambda w=Word(letters): threshold(w, deep)
+    for cap in (512, 8192):
+        cfg = TrialConfig(word=Word("HTHH"), trials=65536, seed=1, max_tosses_per_trial=cap)
+        cases[f"run_trials HTHH 65536 trials cap={cap}"] = lambda cfg=cfg: run_trials(cfg)
+    cases["verify quick"] = lambda: run_checks("quick")
+    return cases
+
+
+def measure() -> dict:
+    """Milliseconds of one call per case, after a warm-up call, for the
+    coinwords on sys.path."""
+    import numpy
+
+    rows = {}
+    for name, call in _cases().items():
+        call()
+        start = time.perf_counter()
+        call()
+        rows[name] = (time.perf_counter() - start) * 1000
+    return {"numpy": numpy.__version__, "rows": rows}
+
+
+def _time_tree(src: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import bench_layers, json; print(json.dumps(bench_layers.measure()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=os.path.dirname(os.path.abspath(__file__)),
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
+    """({tree label: {case: median ms}}, numpy version), trees alternating by round."""
+    times: dict = {label: {} for label in trees}
+    labels = list(trees)
+    for r in range(repeats):
+        for label in labels if r % 2 == 0 else labels[::-1]:
+            result = _time_tree(trees[label])
+            for name, ms in result["rows"].items():
+                times[label].setdefault(name, []).append(ms)
+    return {
+        label: {name: round(statistics.median(v), 3) for name, v in rows.items()}
+        for label, rows in times.items()
+    }, result["numpy"]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", ROOT, *args], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_3.json"))
+    parser.add_argument("--baseline", help="git revision to time beside the working tree")
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"current": os.path.join(ROOT, "src")}
+        if args.baseline:
+            archive = subprocess.run(
+                ["git", "-C", ROOT, "archive", "--format=tar", args.baseline, "src"],
+                capture_output=True, check=True,
+            ).stdout
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            trees["baseline"] = os.path.join(tmp, "src")
+        medians, numpy_version = _time_trees(trees, args.repeats)
+    report = {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "repeats": args.repeats,
+        "unit": "ms, median over rounds of one call each",
+        "current": "working tree",
+        "rows": {name: {"current_ms": ms} for name, ms in medians["current"].items()},
+    }
+    if args.baseline:
+        report["baseline"] = _git("rev-parse", "--short", args.baseline)
+        for name, row in report["rows"].items():
+            row["baseline_ms"] = medians["baseline"][name]
+            row["speedup"] = round(row["baseline_ms"] / row["current_ms"], 2)
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    for name, row in report["rows"].items():
+        cells = " ".join(f"{k}={v}" for k, v in row.items())
+        print(f"{name:<40} {cells}")
+
+
+if __name__ == "__main__":
+    main()

@@ -16,6 +16,7 @@ from .counting import (
     builtin_spec,
     counts,
     extend_counts,
+    nth_term,
     transition_table,
 )
 from .genfun import (
@@ -82,6 +83,7 @@ __all__ = [
     "finite_gf",
     "first_occurrence_ends_at",
     "moments",
+    "nth_term",
     "parse_word",
     "partial_moment_sums",
     "pmf",

@@ -8,9 +8,13 @@ counts are the Taylor coefficients of x**k / D(x) with
 
     D(x) = x**k + (1 - 2x) c(x)        (Guibas & Odlyzko, JCTA 1981)
 
-and D(0) = 1.  An independent dynamic program over the prefix-match states
-of the pattern automaton counts the same sequence.  All arithmetic uses
-Python's unbounded integers.
+and D(0) = 1.  ``extend_counts`` runs a recurrence term by term;
+``nth_term`` jumps to a single term with Bostan and Mori's algorithm ("A
+simple and fast algorithm for computing the N-th term of a linearly
+recurrent sequence", SOSA 2021) in O(log n) products of degree-k
+polynomials, instead of building all n terms.  An independent dynamic
+program over the prefix-match states of the pattern automaton counts the
+same sequence.  All arithmetic uses Python's unbounded integers.
 """
 
 from dataclasses import dataclass
@@ -25,6 +29,7 @@ __all__ = [
     "builtin_spec",
     "counts",
     "extend_counts",
+    "nth_term",
     "transition_table",
 ]
 
@@ -110,6 +115,46 @@ def extend_counts(spec: RecurrenceSpec, n_max: int) -> CountSequence:
     for _ in range(len(values), n_max):
         values.append(sum(c * values[i] for i, c in terms))
     return CountSequence(word=spec.word, values=tuple(values))
+
+
+def _half_product(a: list[int], b: list[int], parity: int) -> list[int]:
+    """Coefficients of a(x) * b(-x) at the powers x**(2i + parity), as a list over i."""
+    out = [0] * ((len(a) + len(b) - parity) // 2)
+    by_parity = ([], [])
+    for j, y in enumerate(b):
+        if y:
+            by_parity[j & 1].append((j, -y if j & 1 else y))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in by_parity[(i ^ parity) & 1]:
+                out[(i + j) >> 1] += x * y
+    return out
+
+
+def nth_term(spec: RecurrenceSpec, n: int) -> int:
+    """The n-th term of ``spec`` alone, equal to ``extend_counts(spec, n).at(n)``.
+
+    The terms from n = 1 on are the Taylor coefficients of P(x)/Q(x) with
+    Q(x) = 1 - sum c_i x**(i+1) and P = (Q * sum init_i x**i) mod x**k.
+    Bostan-Mori multiplies both by Q(-x), which leaves an even denominator,
+    and keeps the half of the numerator whose parity matches the index; each
+    round halves the index.  That is O(log n) integer products of degree-k
+    polynomials whose coefficients grow to O(n) bits.
+    """
+    if n < 1:
+        raise ValueError(f"term index must be >= 1, got {n}")
+    k = spec.order
+    if n <= k:
+        return spec.initial_values[n - 1]
+    den = [1] + [-c for c in spec.coefficients]
+    init = spec.initial_values
+    num = [sum(den[j] * init[i - j] for j in range(i + 1)) for i in range(k)]
+    index = n - 1
+    while index:
+        num = _half_product(num, den, index & 1)
+        den = _half_product(den, den, 0)
+        index >>= 1
+    return num[0]
 
 
 def transition_table(w: Word) -> list[list[int]]:

@@ -101,12 +101,12 @@ def sample_waiting_time(w: Word, tosses: Iterable, cap: int | None = None) -> in
     return None
 
 
-def _toss_blocks(seed: int, lo: int, hi: int, n_blocks: int) -> np.ndarray:
-    """SplitMix64 outputs for trials lo..hi-1, shape (hi - lo, n_blocks)."""
-    trial = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    block = np.arange(n_blocks, dtype=np.uint64)[None, :]
+def _toss_block(seed: int, trial: np.ndarray, j: int) -> np.ndarray:
+    """Toss block ``j`` (a SplitMix64 output) of each trial index in ``trial``."""
     with np.errstate(over="ignore"):
-        z = np.uint64(seed) + (trial * np.uint64(_TRIAL_STRIDE) + block + np.uint64(1)) * _GAMMA
+        z = np.uint64(seed) + (
+            trial * np.uint64(_TRIAL_STRIDE) + np.uint64(j) + np.uint64(1)
+        ) * _GAMMA
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         return z ^ (z >> np.uint64(31))
@@ -115,9 +115,13 @@ def _toss_blocks(seed: int, lo: int, hi: int, n_blocks: int) -> np.ndarray:
 def _run_chunk(
     trans: np.ndarray, cfg: TrialConfig, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Waiting-time histogram for one trial range: (values, counts, truncated)."""
+    """Waiting-time histogram for one trial range: (values, counts, truncated).
+
+    Block j of every trial is generated when toss 64j + 1 is reached, so
+    memory stays O(hi - lo) whatever the toss cap.
+    """
     cap = cfg.max_tosses_per_trial
-    blocks = _toss_blocks(cfg.seed, lo, hi, -(-cap // 64))
+    trial = np.arange(lo, hi, dtype=np.uint64)
     n = hi - lo
     full = trans.shape[0] - 1
     state = np.zeros(n, dtype=np.int64)
@@ -125,7 +129,9 @@ def _run_chunk(
     done = 0
     for t in range(1, cap + 1):
         j, r = divmod(t - 1, 64)
-        bit = ((blocks[:, j] >> np.uint64(r)) & np.uint64(1)).astype(np.int64)
+        if r == 0:
+            block = _toss_block(cfg.seed, trial, j)
+        bit = ((block >> np.uint64(r)) & np.uint64(1)).astype(np.int64)
         state = trans[state, bit]
         newly = (state == full) & (waiting == 0)
         if newly.any():

@@ -2,11 +2,16 @@
 
 Every fair-coin probability here is a dyadic rational a(n)/2**n, so the
 module keeps an exact dyadic type for distribution values and plain
-``fractions.Fraction`` for moments.  Tails have a second route through the
-avoidance counts, and the moments are closed sums over the pattern's
-self-overlaps; both come from the autocorrelation polynomial that also
-drives the counts (see ``counting``).  Floating point only ever appears in
-the displayed standard deviation.
+``fractions.Fraction`` for moments.  Single values jump straight to the
+term they need with ``counting.nth_term``: ``pmf`` reads a(n), and ``cdf``
+and ``tail`` read b(m), the number of length-m records that avoid the
+pattern, whose sequence c(x)/D(x) runs on the same recurrence as the
+first-occurrence counts.  ``threshold`` walks that avoidance recurrence in
+plain integers.  ``closed_tail`` runs the avoidance recurrence term by term,
+a second route to the tail, and the moments are closed sums over the
+pattern's self-overlaps; all of it comes from the autocorrelation polynomial
+(see ``counting``).  Floating point only ever appears in the displayed
+standard deviation.
 """
 
 import itertools
@@ -14,7 +19,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import RecurrenceSpec, _overlaps, builtin_spec, counts, extend_counts
+from .counting import (
+    RecurrenceSpec,
+    _overlaps,
+    builtin_spec,
+    counts,
+    extend_counts,
+    nth_term,
+)
 from .words import Word
 
 __all__ = [
@@ -99,7 +111,6 @@ class DyadicRational:
         return f"{self.numerator}/{1 << self.exponent}"
 
 
-DYADIC_ZERO = DyadicRational(0, 0)
 DYADIC_ONE = DyadicRational(1, 0)
 
 
@@ -113,24 +124,33 @@ class WordStats:
     stddev: float
 
 
+def _avoidance_spec(w: Word) -> RecurrenceSpec:
+    """b(m), the length-m records that avoid ``w``, as terms m + 1 of a spec.
+
+    b is the coefficient sequence of c(x)/D(x), so it runs on the same
+    recurrence as the first-occurrence counts, seeded with b(m) = 2**m for
+    m < k.
+    """
+    spec = builtin_spec(w)
+    return RecurrenceSpec(
+        order=spec.order,
+        coefficients=spec.coefficients,
+        initial_values=tuple(1 << m for m in range(spec.order)),
+    )
+
+
 def pmf(w: Word, n: int) -> DyadicRational:
     """P(first occurrence ends exactly at toss n) = a(n)/2**n."""
     if n < 1:
         raise ValueError(f"toss index must be >= 1, got {n}")
-    return DyadicRational(counts(w, n).at(n), n)
+    return DyadicRational(nth_term(builtin_spec(w), n), n)
 
 
 def cdf(w: Word, m: int) -> DyadicRational:
-    """P(first occurrence within the first m tosses); m = 0 gives 0."""
+    """P(first occurrence within the first m tosses) = 1 - b(m)/2**m; m = 0 gives 0."""
     if m < 0:
         raise ValueError(f"toss count must be >= 0, got {m}")
-    if m == 0:
-        return DYADIC_ZERO
-    seq = counts(w, m)
-    total = 0
-    for v in seq.values:
-        total = (total << 1) + v
-    return DyadicRational(total, m)
+    return DyadicRational((1 << m) - nth_term(_avoidance_spec(w), m + 1), m)
 
 
 def tail(w: Word, n: int) -> DyadicRational:
@@ -143,20 +163,13 @@ def tail(w: Word, n: int) -> DyadicRational:
 def closed_tail(w: Word, n: int) -> DyadicRational:
     """Tail probability via the avoidance counts: b(n-1) / 2**(n-1).
 
-    b(m) counts the length-m toss records that avoid the pattern; it is the
-    coefficient sequence of c(x)/D(x), so it runs on the same recurrence as
-    the first-occurrence counts, seeded with b(m) = 2**m for m < k.  An
-    independent route to the same value as :func:`tail`.
+    Runs the avoidance recurrence term by term with ``extend_counts``, an
+    independent route to the same value as :func:`tail`, which jumps to
+    b(n-1) with ``nth_term``.
     """
     if n < 1:
         raise ValueError(f"toss index must be >= 1, got {n}")
-    spec = builtin_spec(w)
-    avoiding = RecurrenceSpec(
-        order=spec.order,
-        coefficients=spec.coefficients,
-        initial_values=tuple(1 << m for m in range(spec.order)),
-    )
-    return DyadicRational(extend_counts(avoiding, n).at(n), n - 1)
+    return DyadicRational(extend_counts(_avoidance_spec(w), n).at(n), n - 1)
 
 
 def moments(w: Word) -> WordStats:
@@ -180,23 +193,33 @@ def moments(w: Word) -> WordStats:
 def threshold(w: Word, q: Fraction | float | str) -> int:
     """Smallest n with tail(w, n) <= q, for 0 < q <= 1.
 
-    Scans the single-pass partial sums of the pmf; the tail is strictly
-    decreasing once n reaches the pattern length, so the scan terminates.
+    tail(w, n) = b(n-1)/2**(n-1), so the scan tests
+    b(n-1) * q.denominator <= q.numerator * 2**(n-1) in integers.  The
+    recurrence is linear, so it runs on b * q.denominator directly, keeping
+    a window of the last k values.  The tail is strictly decreasing once n
+    reaches the pattern length, so the scan terminates.
     """
     q = Fraction(q)
     if not 0 < q <= 1:
         raise ValueError(f"quantile must satisfy 0 < q <= 1, got {q}")
-    target = 1 - q  # tail(n) <= q  <=>  cdf(n-1) >= 1 - q
-    seq = counts(w, 64)
-    partial = Fraction(0)
+    spec = _avoidance_spec(w)
+    terms = [(-1 - i, c) for i, c in enumerate(spec.coefficients) if c]
+    window = [v * q.denominator for v in spec.initial_values]
+    bound = q.numerator  # q.numerator * 2**(n-1)
     for n in itertools.count(1):
-        if partial >= target:
+        if n <= spec.order:
+            scaled = window[n - 1]
+        else:
+            scaled = 0
+            for i, c in terms:
+                scaled += c * window[i]
+            window.append(scaled)
+            del window[0]
+        if scaled <= bound:
             return n
-        if n > len(seq):
-            seq = counts(w, 2 * len(seq))
-        partial += Fraction(seq.at(n), 1 << n)
         if n > _THRESHOLD_LIMIT:
             raise RuntimeError(f"threshold scan for {w} passed n = {n}")
+        bound <<= 1
     raise AssertionError("unreachable")
 
 

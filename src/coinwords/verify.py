@@ -43,6 +43,7 @@ REFERENCE_COUNTS = {
 }
 
 THREE_LETTER_WORDS = tuple(w for w in ESSENTIAL_WORDS if len(w) == 3)
+ROOT_FORMULA_WORDS = ESSENTIAL_WORDS + tuple(Word(s) for s in ("H", "HTHT", "HHTHTTHH"))
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,14 @@ def _check_tail_routes(specs: SpecOverrides, n_max: int) -> CheckResult:
                 return CheckResult(
                     "tail-identities",
                     False,
-                    f"{w} at n={n}: 1-cdf gives {via_cdf}, identity gives {via_identity}",
+                    f"{w} at n={n}: 1-cdf gives {via_cdf}, "
+                    f"avoidance recurrence gives {via_identity}",
                 )
     return CheckResult(
         "tail-identities",
         True,
-        f"1-cdf route equals the closed identities for n <= {n_max}",
+        f"1-cdf by jump-ahead equals the avoidance recurrence run term by term "
+        f"for n <= {n_max}",
     )
 
 
@@ -218,7 +221,7 @@ def _check_roots() -> CheckResult:
 
 
 def _check_root_formula(n_max: int) -> CheckResult:
-    for w in THREE_LETTER_WORDS:
+    for w in ROOT_FORMULA_WORDS:
         model = solve_denominator(w)
         exact = extend_counts(builtin_spec(w), n_max)
         for n in range(1, n_max + 1):
@@ -236,7 +239,8 @@ def _check_root_formula(n_max: int) -> CheckResult:
     return CheckResult(
         "root-formula",
         True,
-        f"three-root expression rounds to the exact counts for n <= {n_max}",
+        f"partial-fraction sum over the roots of D rounds to the exact counts "
+        f"for {len(ROOT_FORMULA_WORDS)} words of lengths 1-8, n <= {n_max}",
     )
 
 

@@ -10,8 +10,10 @@ from coinwords.counting import (
     builtin_spec,
     counts,
     extend_counts,
+    nth_term,
     transition_table,
 )
+from coinwords.stats import _avoidance_spec
 from coinwords.words import Word, all_words, brute_force_count
 
 # First 15 terms for the length-3 patterns, frozen from the reference tables.
@@ -23,6 +25,9 @@ GOLDEN_ROWS = {
 }
 
 words_st = st.lists(st.sampled_from("HT"), min_size=1, max_size=5).map(
+    lambda ls: Word("".join(ls))
+)
+long_words_st = st.lists(st.sampled_from("HT"), min_size=1, max_size=12).map(
     lambda ls: Word("".join(ls))
 )
 
@@ -93,6 +98,33 @@ class TestExtendCounts:
         assert seq.at(1) == 0 and seq.at(6) == 5
         with pytest.raises(IndexError):
             seq.at(0)
+
+
+class TestNthTerm:
+    """The jump-ahead term against the linear recurrence, which stays the oracle."""
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_matches_linear_recurrence(self, length):
+        for w in all_words(length):
+            for spec in (builtin_spec(w), _avoidance_spec(w)):
+                seq = extend_counts(spec, 1000)
+                for n in [*range(1, 3 * length + 3), 64, 257, 1000]:
+                    assert nth_term(spec, n) == seq.at(n), f"{w} at n={n}"
+
+    @given(long_words_st, st.integers(min_value=1, max_value=3000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_linear_recurrence(self, w, n, avoiding):
+        spec = _avoidance_spec(w) if avoiding else builtin_spec(w)
+        assert nth_term(spec, n) == extend_counts(spec, n).at(n)
+
+    def test_general_spec(self):
+        spec = RecurrenceSpec(order=2, coefficients=(1, 1), initial_values=(2, 1))
+        lucas = (2, 1, 3, 4, 7, 11, 18, 29, 47, 76)
+        assert tuple(nth_term(spec, n) for n in range(1, 11)) == lucas
+
+    def test_rejects_index_below_one(self):
+        with pytest.raises(ValueError):
+            nth_term(builtin_spec(Word("HH")), 0)
 
 
 class TestAutomaton:
@@ -176,8 +208,11 @@ class TestCountsDispatch:
         assert counts(w, 8, "recurrence").values == counts(w, 8, "automaton").values
         assert counts(w, 8, "brute").values == counts(w, 8, "auto").values
 
-    def test_auto_falls_back_to_automaton_for_long_words(self):
-        assert counts(Word("HTHT"), 6).at(4) == 1
+    def test_auto_takes_recurrence_for_long_words(self):
+        w = Word("HTHT")
+        seq = counts(w, 40)
+        assert seq.values == extend_counts(builtin_spec(w), 40).values
+        assert seq.values == automaton_counts(w, 40).values
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,33 @@ class TestRunTrials:
     def test_default_cap_never_truncates(self, letters):
         cfg = TrialConfig(word=Word(letters), trials=1_000_000, seed=3)
         assert run_trials(cfg).truncated == 0
+
+    def test_huge_cap_allocates_per_chunk_not_per_cap(self):
+        # every trial finishes long before the cap, so the blocks a trial
+        # never reaches must never be generated (the whole array would be
+        # 256 x 65536 uint64 = 128 MiB)
+        cfg = TrialConfig(
+            word=Word("HTHH"), trials=256, seed=1, max_tosses_per_trial=1 << 22
+        )
+        tracemalloc.start()
+        try:
+            s = run_trials(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.truncated == 0
+        assert peak < 4 << 20
+
+    def test_stream_crossing_blocks_is_frozen(self):
+        # waiting times run past toss 64 into later blocks; values recorded
+        # when the whole block array was generated up front
+        cfg = TrialConfig(
+            word=Word("HHHHHHH"), trials=3000, seed=9, max_tosses_per_trial=1000
+        )
+        s = run_trials(cfg)
+        s1 = sum(t * c for t, c in s.histogram.items())
+        s2 = sum(t * t * c for t, c in s.histogram.items())
+        assert (s.count, s.truncated, s1, s2) == (2939, 61, 698715, 289246591)
 
     def test_empirical_tail_matches_exact(self):
         w = Word("HHH")

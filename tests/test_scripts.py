@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ run to completion on the current API."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,13 @@ def test_simulate_check():
     assert proc.returncode == 0, proc.stderr
     assert "trials=2000" in proc.stdout
     assert len(proc.stdout.strip().splitlines()) >= 8
+
+
+def test_bench_layers(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script("bench_layers.py", "--repeats", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["nproc"] >= 1 and report["repeats"] == 1
+    assert report["rows"]["pmf HTH n=20000"]["current_ms"] > 0
+    assert "verify quick" in report["rows"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinwords.counting import builtin_spec, counts, extend_counts
 from coinwords.genfun import closed_gf, finite_gf
 from coinwords.stats import (
     DyadicRational,
@@ -164,6 +166,34 @@ class TestTail:
                 assert tail(w, n) == closed_tail(w, n), f"{w} at n={n}"
 
 
+class TestJumpAheadValues:
+    """pmf/cdf/tail jump to one term; the linear recurrence is the oracle."""
+
+    def test_hth_at_20000_matches_linear_route(self):
+        w, n = Word("HTH"), 20000
+        seq = extend_counts(builtin_spec(w), n)
+        total = 0
+        for v in seq.values:
+            total = (total << 1) + v
+        assert pmf(w, n) == DyadicRational(seq.at(n), n)
+        assert cdf(w, n) == DyadicRational(total, n)
+        total -= seq.at(n)
+        assert tail(w, n) == DyadicRational((1 << (n - 1)) - (total >> 1), n - 1)
+        assert tail(w, n) == closed_tail(w, n)
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_values_up_to_word_length(self, length):
+        for w in all_words(length):
+            assert cdf(w, 0) == DyadicRational(0, 0)
+            for n in range(1, length):
+                assert pmf(w, n) == DyadicRational(0, 0)
+                assert cdf(w, n) == DyadicRational(0, 0)
+                assert tail(w, n) == DyadicRational(1, 0)
+            assert pmf(w, length) == DyadicRational(1, length)
+            assert cdf(w, length) == DyadicRational(1, length)
+            assert tail(w, length) == DyadicRational(1, 0)
+
+
 class TestMoments:
     @pytest.mark.parametrize(
         "letters,mean,variance",
@@ -254,6 +284,52 @@ class TestThreshold:
             threshold(Word("HH"), 0)
         with pytest.raises(ValueError):
             threshold(Word("HH"), Fraction(3, 2))
+
+
+def fraction_scan_threshold(w, q):
+    """The partial-sum scan over Fraction pmf values that threshold replaced."""
+    target = 1 - Fraction(q)
+    seq = counts(w, 64)
+    partial = Fraction(0)
+    for n in itertools.count(1):
+        if partial >= target:
+            return n
+        if n > len(seq):
+            seq = counts(w, 2 * len(seq))
+        partial += Fraction(seq.at(n), 1 << n)
+
+
+DEEP_QS = ("1", "0.5", "0.1", "1e-3", "1e-10", "1e-30", "1e-100")
+LONG_WORDS = ("HTHT", "HHTT", "HTHHT", "HHHTHH", "HTTHTTH", "HHTHTTHH")
+
+
+class TestThresholdScan:
+    """The integer scan against the Fraction scan it replaced, and the bracket."""
+
+    @pytest.mark.parametrize("letters", ALL_BUILTINS)
+    def test_short_words_down_to_1e_100(self, letters):
+        w = Word(letters)
+        for text in DEEP_QS:
+            q = Fraction(text)
+            n = threshold(w, q)
+            assert n == fraction_scan_threshold(w, q), f"{letters} at q={text}"
+            assert tail(w, n) <= q
+            assert n == 1 or q < tail(w, n - 1)
+
+    @pytest.mark.parametrize("letters", LONG_WORDS)
+    def test_long_words_down_to_1e_6(self, letters):
+        w = Word(letters)
+        for text in ("1", "0.5", "0.1", "1e-3", "1e-6"):
+            q = Fraction(text)
+            n = threshold(w, q)
+            assert n == fraction_scan_threshold(w, q), f"{letters} at q={text}"
+            assert tail(w, n) <= q
+            assert n == 1 or q < tail(w, n - 1)
+
+    def test_float_quantile(self):
+        w = Word("HHH")
+        q = Fraction(1e-100)
+        assert threshold(w, 1e-100) == fraction_scan_threshold(w, q)
 
 
 class TestLandmarks:
