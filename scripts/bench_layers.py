@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Layer timings of the exact and Monte Carlo hot paths, written as JSON.
 
-    python scripts/bench_layers.py --baseline 6825885      # writes BENCH_3.json
+    python scripts/bench_layers.py --baseline e401515 --repeats 21   # writes BENCH_4.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
-Each row is the median wall time, in milliseconds, over --repeats rounds.
-A round times one call of every case, after one warm-up call, in a fresh
+Each row is the median wall time, in milliseconds, over --repeats rounds,
+with the interquartile range beside it: a speedup whose two ranges
+overlap is within the machine's run-to-run spread.  A round times one call of every case, after one warm-up call, in a fresh
 interpreter whose PYTHONPATH is one source tree's src/: the working tree,
 and with --baseline the given git revision, exported with ``git archive``
 into a temporary directory.  The trees take turns, round by round, so a
@@ -31,15 +32,20 @@ def _cases() -> dict:
     from fractions import Fraction
 
     from coinwords import Word
-    from coinwords.counting import builtin_spec, extend_counts
+    from coinwords.counting import automaton_counts, builtin_spec, extend_counts
     from coinwords.montecarlo import TrialConfig, run_trials
     from coinwords.stats import cdf, pmf, tail, threshold
     from coinwords.verify import run_checks
+    from coinwords.words import brute_force_count
 
     hth, long_word = Word("HTH"), Word(LONG_WORD)
     deep = Fraction("1e-100")
-    cases = {"extend_counts HTH n=20000": lambda: extend_counts(builtin_spec(hth), 20000)}
+    cases = {
+        "extend_counts HTH n=20000": lambda: extend_counts(builtin_spec(hth), 20000),
+        "brute_force_count HTH n=22": lambda: brute_force_count(hth, 22),
+    }
     for w in (hth, long_word):
+        cases[f"automaton_counts {w} n=20000"] = lambda w=w: automaton_counts(w, 20000)
         for f in (pmf, tail, cdf):
             cases[f"{f.__name__} {w} n=20000"] = lambda f=f, w=w: f(w, 20000)
     for letters in ("HHH", "HTH"):
@@ -48,6 +54,7 @@ def _cases() -> dict:
         cfg = TrialConfig(word=Word("HTHH"), trials=65536, seed=1, max_tosses_per_trial=cap)
         cases[f"run_trials HTHH 65536 trials cap={cap}"] = lambda cfg=cfg: run_trials(cfg)
     cases["verify quick"] = lambda: run_checks("quick")
+    cases["verify full"] = lambda: run_checks("full")
     return cases
 
 
@@ -75,8 +82,15 @@ def _time_tree(src: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def _quartiles(values: list) -> tuple:
+    """(Q1, median, Q3) of the per-round timings, rounded to microseconds."""
+    qs = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return tuple(round(q, 3) for q in qs)
+
+
 def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
-    """({tree label: {case: median ms}}, numpy version), trees alternating by round."""
+    """({tree label: {case: (Q1, median, Q3) ms}}, numpy version), trees
+    alternating by round."""
     times: dict = {label: {} for label in trees}
     labels = list(trees)
     for r in range(repeats):
@@ -85,7 +99,7 @@ def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
             for name, ms in result["rows"].items():
                 times[label].setdefault(name, []).append(ms)
     return {
-        label: {name: round(statistics.median(v), 3) for name, v in rows.items()}
+        label: {name: _quartiles(v) for name, v in rows.items()}
         for label, rows in times.items()
     }, result["numpy"]
 
@@ -99,7 +113,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_3.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_4.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:
@@ -114,20 +128,25 @@ def main() -> None:
             ).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
             trees["baseline"] = os.path.join(tmp, "src")
-        medians, numpy_version = _time_trees(trees, args.repeats)
+        quartiles, numpy_version = _time_trees(trees, args.repeats)
     report = {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": numpy_version,
         "repeats": args.repeats,
-        "unit": "ms, median over rounds of one call each",
+        "unit": "ms, median and interquartile range over rounds of one call each",
         "current": "working tree",
-        "rows": {name: {"current_ms": ms} for name, ms in medians["current"].items()},
+        "rows": {},
     }
+    for name in quartiles["current"]:
+        row = report["rows"][name] = {}
+        for label, cases in quartiles.items():
+            q1, median, q3 = cases[name]
+            row[f"{label}_ms"] = median
+            row[f"{label}_iqr_ms"] = [q1, q3]
     if args.baseline:
         report["baseline"] = _git("rev-parse", "--short", args.baseline)
-        for name, row in report["rows"].items():
-            row["baseline_ms"] = medians["baseline"][name]
+        for row in report["rows"].values():
             row["speedup"] = round(row["baseline_ms"] / row["current_ms"], 2)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)

@@ -222,18 +222,20 @@ def closed_gf(w: Word) -> RationalFunction:
 def truncation_remainder(w: Word, m: int) -> Polynomial:
     """The remainder polynomial R_m with finite_gf(w, m) * den == num * (1 - R_m).
 
-    R_m = a(m+1) x**(m-2) + (B a(m) + C a(m-1)) x**(m-1) + C a(m) x**m for the
-    length-3 built-ins, where (A, B, C) are the recurrence coefficients.
+    The dropped tail sum(a(n) x**n for n > m) times D(x) is x**k R_m, and the
+    recurrence cancels every power past x**(m+k).  With D_0 = 1 and D_i the
+    negated ``builtin_spec`` coefficients, that leaves
+    R_m = x**(m+1-k) * sum(sum(D_i a(m+j-i) for i < j) x**(j-1) for j = 1..k),
+    defined for m >= max(1, k - 1).
     """
-    if len(w) != 3:
-        raise ValueError("the truncation identity is only defined for length-3 words")
-    if m < 2:
-        raise ValueError(f"truncation remainder needs m >= 2, got {m}")
     spec = builtin_spec(w)
-    _, b, c = spec.coefficients
-    seq = extend_counts(spec, m + 1)
-    return (
-        Polynomial.monomial(m - 2, seq.at(m + 1))
-        + Polynomial.monomial(m - 1, b * seq.at(m) + c * seq.at(m - 1))
-        + Polynomial.monomial(m, c * seq.at(m))
-    )
+    k = spec.order
+    lowest = max(1, k - 1)
+    if m < lowest:
+        raise ValueError(
+            f"truncation remainder of a length-{k} word needs m >= {lowest}, got {m}"
+        )
+    den = (1, *(-c for c in spec.coefficients))
+    seq = extend_counts(spec, m + k)
+    top = [sum(den[i] * seq.at(m + j - i) for i in range(j)) for j in range(1, k + 1)]
+    return Polynomial((0,) * (m + 1 - k) + tuple(top))

@@ -155,13 +155,8 @@ def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
     spans = [
         (lo, min(lo + _CHUNK, cfg.trials)) for lo in range(0, cfg.trials, _CHUNK)
     ]
-    if workers == 1 or len(spans) == 1:
-        parts = [_run_chunk(trans, cfg, lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda span: _run_chunk(trans, cfg, *span), spans)
-            )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(lambda span: _run_chunk(trans, cfg, *span), spans))
     histogram: dict[int, int] = {}
     truncated = 0
     for values, cnts, trunc in parts:

@@ -17,6 +17,7 @@ standard deviation.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import total_ordering
 from fractions import Fraction
 
 from .counting import (
@@ -44,9 +45,14 @@ __all__ = [
 _THRESHOLD_LIMIT = 100_000  # scan guard; tails decay geometrically long before this
 
 
+@total_ordering
 @dataclass(frozen=True)
 class DyadicRational:
-    """numerator / 2**exponent, canonical with an odd (or zero) numerator."""
+    """numerator / 2**exponent, canonical with an odd (or zero) numerator.
+
+    Compares and hashes as the number it is, also against ``int``, ``float``
+    and ``Fraction``.
+    """
 
     numerator: int
     exponent: int
@@ -72,46 +78,27 @@ class DyadicRational:
     def __float__(self) -> float:
         return self.numerator / (1 << self.exponent)
 
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        k = max(self.exponent, other.exponent)
-        num = (self.numerator << (k - self.exponent)) + (
-            other.numerator << (k - other.exponent)
-        )
-        return DyadicRational(num, k)
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        k = max(self.exponent, other.exponent)
-        num = (self.numerator << (k - self.exponent)) - (
-            other.numerator << (k - other.exponent)
-        )
-        if num < 0:
-            raise ValueError("dyadic subtraction went negative")
-        return DyadicRational(num, k)
-
-    def _cmp_key(self, other: "DyadicRational | Fraction | int") -> Fraction:
+    def __eq__(self, other: object) -> bool:
         if isinstance(other, DyadicRational):
-            return other.as_fraction()
-        return Fraction(other)
+            return self.numerator == other.numerator and self.exponent == other.exponent
+        if isinstance(other, (int, float, Fraction)):
+            return self.as_fraction() == other
+        return NotImplemented
 
-    def __lt__(self, other) -> bool:
-        return self.as_fraction() < self._cmp_key(other)
+    def __hash__(self) -> int:
+        return hash(self.as_fraction())
 
-    def __le__(self, other) -> bool:
-        return self.as_fraction() <= self._cmp_key(other)
-
-    def __gt__(self, other) -> bool:
-        return self.as_fraction() > self._cmp_key(other)
-
-    def __ge__(self, other) -> bool:
-        return self.as_fraction() >= self._cmp_key(other)
+    def __lt__(self, other: "DyadicRational | Fraction | float | int") -> bool:
+        if isinstance(other, DyadicRational):
+            other = other.as_fraction()
+        elif not isinstance(other, (int, float, Fraction)):
+            return NotImplemented
+        return self.as_fraction() < other
 
     def __str__(self) -> str:
         if self.exponent == 0:
             return str(self.numerator)
         return f"{self.numerator}/{1 << self.exponent}"
-
-
-DYADIC_ONE = DyadicRational(1, 0)
 
 
 @dataclass(frozen=True)
@@ -154,10 +141,10 @@ def cdf(w: Word, m: int) -> DyadicRational:
 
 
 def tail(w: Word, n: int) -> DyadicRational:
-    """P(first occurrence needs at least n tosses) = 1 - cdf(n - 1)."""
+    """P(first occurrence needs at least n tosses) = b(n-1) / 2**(n-1)."""
     if n < 1:
         raise ValueError(f"toss index must be >= 1, got {n}")
-    return DYADIC_ONE - cdf(w, n - 1)
+    return DyadicRational(nth_term(_avoidance_spec(w), n), n - 1)
 
 
 def closed_tail(w: Word, n: int) -> DyadicRational:

@@ -42,7 +42,6 @@ REFERENCE_COUNTS = {
     "HTH": (0, 0, 1, 2, 3, 5, 9, 16, 28, 49, 86, 151, 265, 465, 816),
 }
 
-THREE_LETTER_WORDS = tuple(w for w in ESSENTIAL_WORDS if len(w) == 3)
 ROOT_FORMULA_WORDS = ESSENTIAL_WORDS + tuple(Word(s) for s in ("H", "HTHT", "HHTHTTHH"))
 
 
@@ -57,6 +56,10 @@ def _spec_for(w: Word, specs: SpecOverrides) -> RecurrenceSpec:
     if specs and w.letters in specs:
         return specs[w.letters]
     return builtin_spec(w)
+
+
+def _lengths(words: tuple[Word, ...]) -> str:
+    return f"{min(map(len, words))}-{max(map(len, words))}"
 
 
 def _words_with_complements() -> list[Word]:
@@ -80,7 +83,8 @@ def _check_reference_counts(specs: SpecOverrides) -> CheckResult:
 
 
 def _check_engine_agreement(specs: SpecOverrides, n_max: int) -> CheckResult:
-    for w in _words_with_complements():
+    words = _words_with_complements()
+    for w in words:
         rec = extend_counts(_spec_for(w, specs), n_max)
         auto = automaton_counts(w, n_max)
         for n in range(1, n_max + 1):
@@ -95,7 +99,7 @@ def _check_engine_agreement(specs: SpecOverrides, n_max: int) -> CheckResult:
     return CheckResult(
         "engine-agreement",
         True,
-        f"recurrence = automaton = enumeration for 12 words, n <= {n_max}",
+        f"recurrence = automaton = enumeration for {len(words)} words, n <= {n_max}",
     )
 
 
@@ -115,24 +119,24 @@ def _check_complement_symmetry(max_len: int, n_max: int) -> CheckResult:
     )
 
 
-def _check_tail_routes(specs: SpecOverrides, n_max: int) -> CheckResult:
-    del specs  # tails are derived from the built-in recurrences directly
-    for w in _words_with_complements():
+def _check_tail_routes(n_max: int) -> CheckResult:
+    words = _words_with_complements()
+    for w in words:
         for n in range(1, n_max + 1):
-            via_cdf = tail(w, n)
-            via_identity = closed_tail(w, n)
-            if via_cdf != via_identity:
+            jumped = tail(w, n)
+            stepped = closed_tail(w, n)
+            if jumped != stepped:
                 return CheckResult(
                     "tail-identities",
                     False,
-                    f"{w} at n={n}: 1-cdf gives {via_cdf}, "
-                    f"avoidance recurrence gives {via_identity}",
+                    f"{w} at n={n}: jump-ahead gives {jumped}, "
+                    f"term-by-term gives {stepped}",
                 )
     return CheckResult(
         "tail-identities",
         True,
-        f"1-cdf by jump-ahead equals the avoidance recurrence run term by term "
-        f"for n <= {n_max}",
+        f"tail by jump-ahead to b(n-1) equals the avoidance recurrence run term "
+        f"by term for {len(words)} words, n <= {n_max}",
     )
 
 
@@ -153,9 +157,9 @@ def _check_cdf_vs_partial_gf(m_max: int) -> CheckResult:
 
 def _check_truncation_identity(m_lo: int, m_hi: int) -> CheckResult:
     one = Polynomial((1,))
-    for w in THREE_LETTER_WORDS:
+    for w in ROOT_FORMULA_WORDS:
         f = closed_gf(w)
-        for m in range(m_lo, m_hi + 1):
+        for m in range(max(m_lo, len(w) - 1), m_hi + 1):
             lhs = finite_gf(w, m) * f.den
             rhs = f.num * (one - truncation_remainder(w, m))
             if lhs != rhs:
@@ -165,7 +169,8 @@ def _check_truncation_identity(m_lo: int, m_hi: int) -> CheckResult:
     return CheckResult(
         "truncation-identity",
         True,
-        f"partial sum times denominator matches for m = {m_lo}..{m_hi}",
+        f"partial sum times denominator matches for {len(ROOT_FORMULA_WORDS)} words "
+        f"of lengths {_lengths(ROOT_FORMULA_WORDS)}, m = max({m_lo}, k-1)..{m_hi}",
     )
 
 
@@ -188,8 +193,7 @@ def _check_closed_form_horizons(min_horizon: int) -> CheckResult:
 def _check_secondary_terms() -> CheckResult:
     for w in ESSENTIAL_WORDS:
         model = solve_denominator(w)
-        start = 3 if w.representative().letters == "HTH" else 1
-        for n in range(start, model.reliability_horizon + 1):
+        for n in range(len(w), model.reliability_horizon + 1):
             if not secondary_term(model, n) < 0.5:
                 return CheckResult(
                     "rounding-slack", False, f"{w} at n={n}"
@@ -197,7 +201,7 @@ def _check_secondary_terms() -> CheckResult:
     return CheckResult(
         "rounding-slack",
         True,
-        "discarded term stays below 1/2 across every certified range",
+        "discarded term stays below 1/2 from n = len(w) across every certified range",
     )
 
 
@@ -240,7 +244,8 @@ def _check_root_formula(n_max: int) -> CheckResult:
         "root-formula",
         True,
         f"partial-fraction sum over the roots of D rounds to the exact counts "
-        f"for {len(ROOT_FORMULA_WORDS)} words of lengths 1-8, n <= {n_max}",
+        f"for {len(ROOT_FORMULA_WORDS)} words of lengths {_lengths(ROOT_FORMULA_WORDS)}, "
+        f"n <= {n_max}",
     )
 
 
@@ -290,7 +295,7 @@ def run_checks(depth: str = "quick", specs: SpecOverrides = None) -> list[CheckR
         lambda: _check_reference_counts(specs),
         lambda: _check_engine_agreement(specs, brute_n),
         lambda: _check_complement_symmetry(5 if full else 4, 20),
-        lambda: _check_tail_routes(specs, 64),
+        lambda: _check_tail_routes(64),
         lambda: _check_cdf_vs_partial_gf(64),
         lambda: _check_truncation_identity(2, 12),
         lambda: _check_closed_form_horizons(50),

@@ -56,14 +56,6 @@ class Word:
         """The word with every H replaced by T and vice versa."""
         return Word(self.letters.translate(_COMPLEMENT))
 
-    def representative(self) -> "Word":
-        """The H-initial member of this word's complement-symmetry pair.
-
-        Counts, probabilities, and closed forms are invariant under swapping
-        H and T, so tables only need to be stored for H-initial words.
-        """
-        return self if self.letters[0] == "H" else self.complement()
-
     def bits(self) -> int:
         """Integer encoding of the letters, first letter most significant, H = 1."""
         value = 0

@@ -118,8 +118,7 @@ def test_criterion_6_certified_horizons():
     for w in ESSENTIAL_WORDS:
         model = solve_denominator(w, probe=70)
         assert model.reliability_horizon >= 50, f"{w}: {model.reliability_horizon}"
-        start = 3 if w.representative().letters == "HTH" else 1
-        for n in range(start, model.reliability_horizon + 1):
+        for n in range(len(w), model.reliability_horizon + 1):
             assert secondary_term(model, n) < 0.5, f"{w} at n={n}"
         details.append(f"{w}={model.reliability_horizon}")
     _report(6, "horizons " + " ".join(details) + ", rounding slack < 1/2 throughout")

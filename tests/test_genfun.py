@@ -239,6 +239,34 @@ class TestTruncationIdentity:
             rhs = f.num * (one - truncation_remainder(w, m))
             assert lhs == rhs, f"{letters} at m={m}"
 
-    def test_remainder_requires_length_three(self):
-        with pytest.raises(ValueError):
-            truncation_remainder(Word("HH"), 5)
+    @pytest.mark.parametrize("letters", ["HHH", "HHT", "HTT", "HTH"])
+    def test_length_three_explicit_form(self, letters):
+        # R_m = a(m+1) x^(m-2) + (B a(m) + C a(m-1)) x^(m-1) + C a(m) x^m
+        w = Word(letters)
+        _, b, c = builtin_spec(w).coefficients
+        a = (0, *counts(w, 13).values)
+        for m in range(2, 13):
+            expected = Polynomial(
+                (0,) * (m - 2) + (a[m + 1], b * a[m] + c * a[m - 1], c * a[m])
+            )
+            assert truncation_remainder(w, m) == expected, f"{letters} at m={m}"
+
+    def test_remainder_answers_every_length_and_refuses_small_m(self):
+        for letters in ("H", "HH", "HTHT"):
+            w = Word(letters)
+            f = closed_gf(w)
+            lowest = max(1, len(w) - 1)
+            rhs = f.num * (Polynomial((1,)) - truncation_remainder(w, lowest))
+            assert finite_gf(w, lowest) * f.den == rhs
+            with pytest.raises(ValueError, match=f"m >= {lowest}"):
+                truncation_remainder(w, lowest - 1)
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_every_word_identity(self, length):
+        one = Polynomial((1,))
+        for w in all_words(length):
+            f = closed_gf(w)
+            for m in range(max(1, length - 1), 14):
+                lhs = finite_gf(w, m) * f.den
+                rhs = f.num * (one - truncation_remainder(w, m))
+                assert lhs == rhs, f"{w} at m={m}"

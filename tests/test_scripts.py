@@ -39,5 +39,7 @@ def test_bench_layers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert report["nproc"] >= 1 and report["repeats"] == 1
-    assert report["rows"]["pmf HTH n=20000"]["current_ms"] > 0
-    assert "verify quick" in report["rows"]
+    row = report["rows"]["pmf HTH n=20000"]
+    assert row["current_ms"] > 0 and row["current_iqr_ms"] == [row["current_ms"]] * 2
+    assert "verify quick" in report["rows"] and "verify full" in report["rows"]
+    assert report["rows"]["brute_force_count HTH n=22"]["current_ms"] > 0

@@ -45,20 +45,30 @@ class TestDyadicRational:
         assert str(DyadicRational(7, 6)) == "7/64"
         assert str(DyadicRational(1, 0)) == "1"
 
-    def test_subtraction_cannot_go_negative(self):
-        with pytest.raises(ValueError):
-            DyadicRational(1, 3) - DyadicRational(1, 1)
-
-    @given(dyadics_st, dyadics_st)
-    @settings(max_examples=60, deadline=None)
-    def test_addition_matches_fractions(self, a, b):
-        assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-
     @given(dyadics_st, dyadics_st)
     @settings(max_examples=60, deadline=None)
     def test_comparisons_match_fractions(self, a, b):
         assert (a < b) == (a.as_fraction() < b.as_fraction())
         assert (a <= b) == (a.as_fraction() <= b.as_fraction())
+
+    def test_equality_matches_ordering_across_types(self):
+        assert DyadicRational(1, 1) == Fraction(1, 2)
+        assert DyadicRational(3, 0) == 3
+        assert DyadicRational(1, 2) == 0.25
+        assert DyadicRational(1, 1) != Fraction(1, 3)
+        assert DyadicRational(1, 1) != "1/2"
+        assert DyadicRational(1, 1) <= Fraction(1, 2) <= DyadicRational(1, 1)
+        assert {DyadicRational(2, 2), Fraction(1, 2), 0.5} == {Fraction(1, 2)}
+
+    @given(dyadics_st, dyadics_st)
+    @settings(max_examples=60, deadline=None)
+    def test_equality_and_hash_match_fractions(self, a, b):
+        fa, fb = a.as_fraction(), b.as_fraction()
+        assert (a == b) == (fa == fb) == (a == fb) == (fa == b)
+        assert (a != fb) == (fa != fb)
+        assert hash(a) == hash(fa)
+        assert (a <= fb) == (fa <= fb) and (a >= fb) == (fa >= fb)
+        assert (a > fb) == (fa > fb) and (fa < b) == (fa < fb)
 
     @given(dyadics_st)
     @settings(max_examples=60, deadline=None)
@@ -180,6 +190,12 @@ class TestJumpAheadValues:
         total -= seq.at(n)
         assert tail(w, n) == DyadicRational((1 << (n - 1)) - (total >> 1), n - 1)
         assert tail(w, n) == closed_tail(w, n)
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_tail_is_one_minus_cdf(self, length):
+        for w in all_words(length):
+            for n in (*range(1, length + 3), 69, 500):
+                assert tail(w, n) == 1 - cdf(w, n - 1).as_fraction(), f"{w} at n={n}"
 
     @pytest.mark.parametrize("length", range(1, 9))
     def test_values_up_to_word_length(self, length):

@@ -61,10 +61,6 @@ class TestComplement:
     def test_involution(self, w):
         assert w.complement().complement() == w
 
-    @given(words_st)
-    def test_representative_starts_with_h(self, w):
-        assert w.representative().letters[0] == "H"
-
 
 class TestFirstOccurrenceEndsAt:
     def test_ends_at_last_toss(self):
