@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer timings of the exact and Monte Carlo hot paths, written as JSON.
 
-    python scripts/bench_layers.py --baseline e401515 --repeats 21   # writes BENCH_4.json
+    python scripts/bench_layers.py --baseline bb7e3bb --repeats 21   # writes BENCH_5.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each row is the median wall time, in milliseconds, over --repeats rounds,
@@ -53,6 +53,11 @@ def _cases() -> dict:
     for cap in (512, 8192):
         cfg = TrialConfig(word=Word("HTHH"), trials=65536, seed=1, max_tosses_per_trial=cap)
         cases[f"run_trials HTHH 65536 trials cap={cap}"] = lambda cfg=cfg: run_trials(cfg)
+    million = TrialConfig(word=Word("HHH"), trials=1_000_000, seed=1)
+    for workers in (1, 2):
+        cases[f"run_trials HHH 1000000 trials workers={workers}"] = (
+            lambda workers=workers: run_trials(million, workers=workers)
+        )
     cases["verify quick"] = lambda: run_checks("quick")
     cases["verify full"] = lambda: run_checks("full")
     return cases
@@ -113,7 +118,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_4.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_5.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

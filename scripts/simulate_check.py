@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Monte Carlo validation: seeded waiting-time simulations against the exact
-distribution for every built-in pattern, with z-scores for the means."""
+distribution for the six essential words, with z-scores for the means."""
 
 import argparse
 import math

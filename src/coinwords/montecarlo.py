@@ -2,11 +2,20 @@
 
 Randomness is counter-based: toss block j of trial i is the SplitMix64 output
 at stream index i * 2**16 + j for the configured seed, a pure function of
-(seed, trial, block).  Trials are processed in fixed-size chunks and merged
-with order-insensitive integer accumulation, so results are bit-identical no
-matter how many workers run or how the chunks are scheduled.
+(seed, trial, block), and toss t of a trial is bit (t - 1) mod 64 of block
+(t - 1) // 64, H = 1.  Each block is scanned for a word of k letters with
+Shift-And, about k word-wide operations per block, with the last k - 1
+tosses carried over from the block before, so a completion that straddles
+two blocks is found (see ``_run_chunk``).  Trials are processed in
+fixed-size chunks and merged with order-insensitive integer accumulation, so
+results are bit-identical no matter how many workers run or how the chunks
+are scheduled.
+
+``sample_waiting_time`` steps the prefix automaton one toss at a time
+instead, an independent route to the same waiting times.
 """
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,15 +65,19 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class EmpiricalSummary:
-    """Aggregated waiting times; mean and variance are over completed trials."""
+    """Aggregated waiting times; mean and variance are over completed trials.
+
+    Mean and variance are derived from ``histogram`` and are NaN when every
+    trial truncates, so they take no part in equality.
+    """
 
     word: Word
     trials: int
     seed: int
     count: int
     truncated: int
-    mean: float
-    variance: float
+    mean: float = field(compare=False)
+    variance: float = field(compare=False)
     histogram: dict[int, int] = field(repr=False)
 
     def tail_fraction(self, n: int) -> float:
@@ -87,8 +100,13 @@ def sample_waiting_time(w: Word, tosses: Iterable, cap: int | None = None) -> in
     """Toss index at which ``w`` first completes, or None if it never does.
 
     ``tosses`` may yield letters or bits (H = 1).  None signals truncation:
-    the stream ran out, or ``cap`` tosses passed without a completion.
+    the stream ran out, or ``cap`` tosses passed without a completion.  At
+    most ``cap`` tosses are read.
     """
+    if cap is not None:
+        if cap < 0:
+            raise ValueError(f"cap must be >= 0, got {cap}")
+        tosses = itertools.islice(tosses, cap)
     table = transition_table(w)
     full = len(w)
     state = 0
@@ -96,8 +114,6 @@ def sample_waiting_time(w: Word, tosses: Iterable, cap: int | None = None) -> in
         state = table[state][_toss_bit(toss)]
         if state == full:
             return t
-        if cap is not None and t >= cap:
-            return None
     return None
 
 
@@ -112,35 +128,59 @@ def _toss_block(seed: int, trial: np.ndarray, j: int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def _run_chunk(
-    trans: np.ndarray, cfg: TrialConfig, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Waiting-time histogram for one trial range: (values, counts, truncated).
 
-    Block j of every trial is generated when toss 64j + 1 is reached, so
-    memory stays O(hi - lo) whatever the toss cap.
+    A Shift-And scan (Baeza-Yates and Gonnet, CACM 1992) reads each 64-toss
+    block in about k word-wide operations for a word of k letters.  Bit r of
+    block j is toss 64j + r + 1.  The copy of the block shifted left by d
+    holds, at bit r, the toss d places earlier; its low d bits are carried
+    from the top bits of the previous block (of the blocks before it, for
+    words longer than 65 letters).  ANDing the k copies, each complemented
+    where the letter d places before the word's end is T, leaves bit r set
+    exactly when tosses 64j + r + 2 - k .. 64j + r + 1 spell the word.  Bits
+    before toss k and past the cap are cleared, and the lowest set bit is the
+    first completion: waiting time 64j + 1 + r.  A trial that completes
+    leaves the active arrays, so block j is generated only for trials still
+    running at toss 64j + 1 and memory stays O(hi - lo) whatever the cap.
     """
+    letters = cfg.word.letters
+    k = len(letters)
     cap = cfg.max_tosses_per_trial
     trial = np.arange(lo, hi, dtype=np.uint64)
-    n = hi - lo
-    full = trans.shape[0] - 1
-    state = np.zeros(n, dtype=np.int64)
-    waiting = np.zeros(n, dtype=np.int64)
-    done = 0
-    for t in range(1, cap + 1):
-        j, r = divmod(t - 1, 64)
-        if r == 0:
-            block = _toss_block(cfg.seed, trial, j)
-        bit = ((block >> np.uint64(r)) & np.uint64(1)).astype(np.int64)
-        state = trans[state, bit]
-        newly = (state == full) & (waiting == 0)
-        if newly.any():
-            waiting[newly] = t
-            done += int(newly.sum())
-            if done == n:
+    # blocks j-1, j-2, ... of the active trials, as far back as a window reaches
+    history = [np.zeros(hi - lo, dtype=np.uint64)] * -(-(k - 1) // 64)
+    found = []
+    for j in range(-(-cap // 64)):
+        window = [_toss_block(cfg.seed, trial, j), *history]
+        match = None
+        for d in range(k):
+            q, s = divmod(d, 64)
+            copy = window[q] << np.uint64(s)
+            if s:
+                copy |= window[q + 1] >> np.uint64(64 - s)
+            if letters[k - 1 - d] == "T":
+                np.invert(copy, out=copy)
+            match = copy if match is None else np.bitwise_and(match, copy, out=match)
+        low = min(max(k - 1 - 64 * j, 0), 64)
+        high = min(cap - 64 * j, 64)
+        valid = ((1 << high) - 1) & ~((1 << low) - 1)
+        if valid != (1 << 64) - 1:
+            match &= np.uint64(valid)
+        history = window[: len(history)]
+        hit = match != 0
+        if hit.any():
+            first = match[hit]
+            lowest = np.bitwise_count(~first & (first - np.uint64(1)))
+            found.append(lowest.astype(np.int64) + (64 * j + 1))
+            live = ~hit
+            trial = trial[live]
+            history = [block[live] for block in history]
+            if not trial.size:
                 break
-    values, cnts = np.unique(waiting[waiting > 0], return_counts=True)
-    return values, cnts, n - done
+    waiting = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+    values, cnts = np.unique(waiting, return_counts=True)
+    return values, cnts, int(trial.size)
 
 
 def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
@@ -151,12 +191,11 @@ def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    trans = np.asarray(transition_table(cfg.word), dtype=np.int64)
     spans = [
         (lo, min(lo + _CHUNK, cfg.trials)) for lo in range(0, cfg.trials, _CHUNK)
     ]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda span: _run_chunk(trans, cfg, *span), spans))
+        parts = list(pool.map(lambda span: _run_chunk(cfg, *span), spans))
     histogram: dict[int, int] = {}
     truncated = 0
     for values, cnts, trunc in parts:

@@ -1,12 +1,19 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coinwords.counting import transition_table
 from coinwords.montecarlo import (
     EmpiricalSummary,
     TrialConfig,
+    _run_chunk,
+    _toss_block,
     histogram_csv,
     run_trials,
     sample_waiting_time,
@@ -16,6 +23,39 @@ from coinwords.stats import moments, pmf, tail
 from coinwords.words import Word
 
 ESSENTIAL = ("HT", "HH", "HHH", "HHT", "HTT", "HTH")
+
+
+def step_loop_chunk(cfg, lo, hi):
+    """Reference for ``_run_chunk``: the prefix automaton stepped one toss
+    at a time over the same blocks, toss t reading bit (t - 1) mod 64 of
+    block (t - 1) // 64."""
+    trans = np.asarray(transition_table(cfg.word), dtype=np.int64)
+    cap = cfg.max_tosses_per_trial
+    trial = np.arange(lo, hi, dtype=np.uint64)
+    n = hi - lo
+    full = trans.shape[0] - 1
+    state = np.zeros(n, dtype=np.int64)
+    waiting = np.zeros(n, dtype=np.int64)
+    done = 0
+    for t in range(1, cap + 1):
+        j, r = divmod(t - 1, 64)
+        if r == 0:
+            block = _toss_block(cfg.seed, trial, j)
+        bit = ((block >> np.uint64(r)) & np.uint64(1)).astype(np.int64)
+        state = trans[state, bit]
+        newly = (state == full) & (waiting == 0)
+        if newly.any():
+            waiting[newly] = t
+            done += int(newly.sum())
+            if done == n:
+                break
+    values, cnts = np.unique(waiting[waiting > 0], return_counts=True)
+    return values, cnts, n - done
+
+
+def as_lists(chunk):
+    values, cnts, truncated = chunk
+    return values.tolist(), cnts.tolist(), truncated
 
 
 class TestSampleWaitingTime:
@@ -42,6 +82,19 @@ class TestSampleWaitingTime:
     def test_rejects_garbage_tosses(self):
         with pytest.raises(ValueError):
             sample_waiting_time(Word("HH"), "HX")
+
+    def test_zero_cap_reads_nothing(self):
+        tosses = iter("HHH")
+        assert sample_waiting_time(Word("H"), tosses, cap=0) is None
+        assert list(tosses) == ["H", "H", "H"]
+
+    def test_completion_at_the_cap_counts(self):
+        assert sample_waiting_time(Word("HH"), "THH", cap=3) == 3
+        assert sample_waiting_time(Word("HH"), "THH", cap=2) is None
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap"):
+            sample_waiting_time(Word("H"), "H", cap=-1)
 
 
 class TestTrialConfig:
@@ -141,10 +194,73 @@ class TestRunTrials:
         s2 = sum(t * t * c for t, c in s.histogram.items())
         assert (s.count, s.truncated, s1, s2) == (2939, 61, 698715, 289246591)
 
+    def test_all_truncated_summaries_compare_equal(self):
+        # mean and variance are NaN here, and NaN != NaN
+        cfg = TrialConfig(word=Word("HHHHHHHHHH"), trials=3, seed=3, max_tosses_per_trial=10)
+        one = run_trials(cfg, workers=1)
+        assert one.truncated == one.trials and math.isnan(one.mean)
+        assert one == one
+        assert one == run_trials(cfg, workers=1) == run_trials(cfg, workers=2)
+
     def test_empirical_tail_matches_exact(self):
         w = Word("HHH")
         s = run_trials(TrialConfig(word=w, trials=100_000, seed=42))
         assert abs(s.tail_fraction(30) - float(tail(w, 30))) <= 0.01
+
+
+class TestShiftAndScan:
+    """``_run_chunk`` against the step loop it replaced, kept above as the
+    reference, and against ``sample_waiting_time`` on the decoded stream."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_step_loop_at_block_edges(self, k):
+        for letters in itertools.product("HT", repeat=k):
+            w = Word("".join(letters))
+            for cap in sorted({k, 63, 64, 65, 127, 128, 129, 512}):
+                cfg = TrialConfig(word=w, trials=1000, seed=17, max_tosses_per_trial=cap)
+                expected = as_lists(step_loop_chunk(cfg, 100, 700))
+                assert as_lists(_run_chunk(cfg, 100, 700)) == expected, (w, cap)
+
+    @pytest.mark.parametrize("k", [64, 65, 66, 130])
+    def test_words_longer_than_a_block(self, k):
+        # a window of k tosses reaches back into one or two earlier blocks;
+        # the words are read off trial 0's stream so that they do occur
+        blocks = [int(_toss_block(5, np.zeros(1, dtype=np.uint64), j)[0]) for j in range(4)]
+        stream = "".join("TH"[(b >> r) & 1] for b in blocks for r in range(64))
+        for start in (0, 3, 61):
+            w = Word(stream[start:start + k])
+            cfg = TrialConfig(word=w, trials=40, seed=5, max_tosses_per_trial=256)
+            scanned = as_lists(_run_chunk(cfg, 0, 40))
+            assert scanned == as_lists(step_loop_chunk(cfg, 0, 40))
+            assert scanned[0][0] <= start + k
+
+    @given(
+        st.text("HT", min_size=1, max_size=12),
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=1 << 20),
+        st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_matches_step_loop(self, letters, seed, cap, lo, n):
+        cap = max(cap, len(letters))
+        cfg = TrialConfig(word=Word(letters), trials=lo + n, seed=seed, max_tosses_per_trial=cap)
+        assert as_lists(_run_chunk(cfg, lo, lo + n)) == as_lists(step_loop_chunk(cfg, lo, lo + n))
+
+    @pytest.mark.parametrize("letters, cap", [("HHH", 100), ("HTTH", 64), ("HHHHHHH", 300)])
+    def test_agrees_with_sample_waiting_time(self, letters, cap):
+        w = Word(letters)
+        cfg = TrialConfig(word=w, trials=64, seed=23, max_tosses_per_trial=cap)
+        for i in range(64):
+            trial = np.array([i], dtype=np.uint64)
+            blocks = [int(_toss_block(cfg.seed, trial, j)[0]) for j in range(-(-cap // 64))]
+            bits = ((b >> r) & 1 for b in blocks for r in range(64))
+            expected = sample_waiting_time(w, bits, cap=cap)
+            values, cnts, truncated = as_lists(_run_chunk(cfg, i, i + 1))
+            if expected is None:
+                assert (values, truncated) == ([], 1)
+            else:
+                assert (values, cnts, truncated) == ([expected], [1], 0)
 
 
 class TestCsv:

@@ -43,3 +43,5 @@ def test_bench_layers(tmp_path):
     assert row["current_ms"] > 0 and row["current_iqr_ms"] == [row["current_ms"]] * 2
     assert "verify quick" in report["rows"] and "verify full" in report["rows"]
     assert report["rows"]["brute_force_count HTH n=22"]["current_ms"] > 0
+    for workers in (1, 2):
+        assert report["rows"][f"run_trials HHH 1000000 trials workers={workers}"]["current_ms"] > 0
