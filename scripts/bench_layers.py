@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer timings of the exact and Monte Carlo hot paths, written as JSON.
 
-    python scripts/bench_layers.py --baseline bb7e3bb --repeats 21   # writes BENCH_5.json
+    python scripts/bench_layers.py --baseline 3b91376 --repeats 21   # writes BENCH_6.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each row is the median wall time, in milliseconds, over --repeats rounds,
@@ -32,11 +32,12 @@ def _cases() -> dict:
     from fractions import Fraction
 
     from coinwords import Word
-    from coinwords.counting import automaton_counts, builtin_spec, extend_counts
+    from coinwords.counting import ESSENTIAL_WORDS, automaton_counts, builtin_spec, extend_counts
+    from coinwords.genfun import closed_gf, finite_gf
     from coinwords.montecarlo import TrialConfig, run_trials
     from coinwords.stats import cdf, pmf, tail, threshold
     from coinwords.verify import run_checks
-    from coinwords.words import brute_force_count
+    from coinwords.words import all_words, brute_force_count
 
     hth, long_word = Word("HTH"), Word(LONG_WORD)
     deep = Fraction("1e-100")
@@ -58,6 +59,12 @@ def _cases() -> dict:
         cases[f"run_trials HHH 1000000 trials workers={workers}"] = (
             lambda workers=workers: run_trials(million, workers=workers)
         )
+    half = Fraction(1, 2)
+    cases["finite_gf at 1/2 essential words m=1..64"] = lambda: [
+        finite_gf(w, m)(half) for w in ESSENTIAL_WORDS for m in range(1, 65)
+    ]
+    short = [w for k in range(1, 9) for w in all_words(k)]
+    cases["closed_gf series(40) words k<=8"] = lambda: [closed_gf(w).series(40) for w in short]
     cases["verify quick"] = lambda: run_checks("quick")
     cases["verify full"] = lambda: run_checks("full")
     return cases
@@ -118,7 +125,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_5.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_6.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

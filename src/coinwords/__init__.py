@@ -20,7 +20,6 @@ from .counting import (
     transition_table,
 )
 from .genfun import (
-    PoleError,
     Polynomial,
     RationalFunction,
     closed_gf,
@@ -61,7 +60,6 @@ __all__ = [
     "DyadicRational",
     "EmpiricalSummary",
     "ESSENTIAL_WORDS",
-    "PoleError",
     "Polynomial",
     "RationalFunction",
     "RecurrenceSpec",

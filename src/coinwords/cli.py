@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import closedform, genfun, montecarlo, stats, verify
+from . import genfun, montecarlo, stats, verify
 from .counting import CountSequence, builtin_spec, counts
 from .words import Word, parse_word
 

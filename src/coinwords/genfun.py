@@ -1,23 +1,21 @@
-"""Exact polynomial and rational-function arithmetic over the rationals.
+"""Exact polynomials and rational functions on integer coefficients.
 
 The power series of interest carry the first-occurrence counts a(n) as
 coefficients: ``finite_gf`` is the degree-m partial sum with a(n) on x**n,
 and every pattern has the closed rational form x**k / D(x), built on its
 autocorrelation denominator D (see ``counting``), whose Taylor expansion at
-0 reproduces the whole sequence.  Evaluating the partial sum at 1/2 gives
-the probability of seeing the pattern within m tosses, which is what makes
-these objects worth manipulating exactly.
+0 reproduces the whole sequence.  Every polynomial built here has integer
+coefficients; a ``Fraction`` appears only when one is evaluated (at 1/2, the
+probability of seeing the pattern within m tosses) or expanded by ``series``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .counting import builtin_spec, counts, extend_counts
 from .words import Word
 
 __all__ = [
-    "PoleError",
     "Polynomial",
     "RationalFunction",
     "closed_gf",
@@ -25,28 +23,22 @@ __all__ = [
     "truncation_remainder",
 ]
 
-Scalar = Union[int, Fraction]
-
-
-class PoleError(ZeroDivisionError):
-    """Evaluation of a rational function at a zero of its denominator."""
-
 
 @dataclass(frozen=True)
 class Polynomial:
     """Coefficients in ascending degree; trailing zeros trimmed, zero = ()."""
 
-    coeffs: tuple[Fraction, ...] = ()
+    coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
-    def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
-        return cls((0,) * power + (Fraction(coeff),))
+    def monomial(cls, power: int, coeff: int = 1) -> "Polynomial":
+        return cls((0,) * power + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -57,8 +49,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coefficient(self, k: int) -> int:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -75,36 +67,15 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return Polynomial(tuple(out))
 
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        for k in range(len(rem) - len(other.coeffs), -1, -1):
-            factor = rem[k + other.degree] / lead
-            if factor:
-                quot[k] = factor
-                for j, c in enumerate(other.coeffs):
-                    rem[k + j] -= factor * c
-        return Polynomial(tuple(quot)), Polynomial(tuple(rem))
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -150,18 +121,6 @@ class RationalFunction:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RationalFunction | Scalar") -> "RationalFunction":
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.num * other, self.den)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def derivative(self) -> "RationalFunction":
         """Quotient-rule derivative, left unreduced."""
         return RationalFunction(
@@ -169,10 +128,10 @@ class RationalFunction:
             self.den * self.den,
         )
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         bottom = self.den(x)
         if bottom == 0:
-            raise PoleError(f"denominator vanishes at x = {x}")
+            raise ZeroDivisionError(f"denominator vanishes at x = {x}")
         return self.num(x) / bottom
 
     def series(self, n_max: int) -> tuple[Fraction, ...]:
@@ -192,7 +151,7 @@ class RationalFunction:
             acc = self.num.coefficient(n)
             for k in range(1, min(n, len(q) - 1) + 1):
                 acc -= q[k] * out[n - k]
-            out.append(acc / q[0])
+            out.append(Fraction(acc, q[0]))
         return tuple(out)
 
     def __str__(self) -> str:
@@ -202,7 +161,7 @@ class RationalFunction:
 def finite_gf(w: Word, m: int) -> Polynomial:
     """Partial sum polynomial: coefficient of x**n is a(n) for 1 <= n <= m."""
     seq = counts(w, m)
-    return Polynomial((Fraction(0),) + tuple(Fraction(v) for v in seq.values))
+    return Polynomial((0, *seq.values))
 
 
 def closed_gf(w: Word) -> RationalFunction:

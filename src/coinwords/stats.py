@@ -184,7 +184,8 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
     b(n-1) * q.denominator <= q.numerator * 2**(n-1) in integers.  The
     recurrence is linear, so it runs on b * q.denominator directly, keeping
     a window of the last k values.  The tail is strictly decreasing once n
-    reaches the pattern length, so the scan terminates.
+    reaches the pattern length, so the scan terminates; a threshold past
+    the scan limit is refused with ``ValueError``.
     """
     q = Fraction(q)
     if not 0 < q <= 1:
@@ -205,7 +206,9 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
         if scaled <= bound:
             return n
         if n > _THRESHOLD_LIMIT:
-            raise RuntimeError(f"threshold scan for {w} passed n = {n}")
+            raise ValueError(
+                f"threshold of {w} at q = {q} lies past the scan limit n = {_THRESHOLD_LIMIT}"
+            )
         bound <<= 1
     raise AssertionError("unreachable")
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from coinwords import stats
 from coinwords.cli import main
 from coinwords.counting import RecurrenceSpec
 from coinwords.verify import run_checks
@@ -149,6 +150,14 @@ class TestThreshold:
         code, out, _ = run_cli(capsys, "threshold", "HT", "11/100")
         assert code == 0
         assert out.startswith("N=7 ")
+
+    def test_past_the_scan_limit_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(stats, "_THRESHOLD_LIMIT", 50)
+        code, out, err = run_cli(capsys, "threshold", "HHHHHHHHHH", "0.5")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "HHHHHHHHHH" in err and "1/2" in err and "n = 50" in err
 
 
 class TestSimulate:

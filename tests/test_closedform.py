@@ -23,6 +23,21 @@ SHORT_WORDS = [w for k in range(1, 9) for w in all_words(k)]
 PRIME = 2**31 - 1
 
 
+def _divide_by_x_minus_one(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Quotient of p(x) / (x - 1) for p(1) = 0, coefficients ascending.
+
+    Synthetic division from the leading coefficient down: each quotient
+    coefficient is the running sum of p's coefficients from the top.
+    """
+    quot = [0] * (len(coeffs) - 1)
+    carry = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry += coeffs[i]
+        quot[i - 1] = carry
+    assert carry + coeffs[0] == 0, "x - 1 does not divide the polynomial"
+    return tuple(quot)
+
+
 def _gcd_degree_mod_prime(a: list[int], b: list[int]) -> int:
     """Degree of gcd(a, b) over GF(PRIME); coefficients ascending."""
 
@@ -222,16 +237,14 @@ class TestUnitRoot:
     def test_quotient_has_simple_roots_up_to_length_12(self):
         # checked exactly: gcd(Q, Q') is constant over GF(p), and Q's leading
         # coefficient is +-1, so Q is squarefree over the rationals too
-        factor = Polynomial((-1, 1))
         for k in range(1, 13):
             for w in all_words(k):
                 if w.letters[0] != "H":
                     continue
                 quot = closed_gf(w).den
                 while quot(1) == 0:
-                    quot = divmod(quot, factor)[0]
-                q = [int(c) for c in quot.coeffs]
-                dq = [int(c) for c in quot.derivative().coeffs]
+                    quot = Polynomial(_divide_by_x_minus_one(quot.coeffs))
+                q, dq = list(quot.coeffs), list(quot.derivative().coeffs)
                 assert quot.degree == 0 or _gcd_degree_mod_prime(q, dq) == 0, w
 
     def test_repeated_root_raises(self, monkeypatch):
