@@ -1,17 +1,25 @@
 #!/usr/bin/env python3
-"""Layer timings of the exact and Monte Carlo hot paths, written as JSON.
+"""Layer timings of the exact and Monte Carlo hot paths, and cold command
+timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline 3b91376 --repeats 21   # writes BENCH_6.json
+    python scripts/bench_layers.py --baseline c68de78 --repeats 21   # writes BENCH_7.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each row is the median wall time, in milliseconds, over --repeats rounds,
 with the interquartile range beside it: a speedup whose two ranges
-overlap is within the machine's run-to-run spread.  A round times one call of every case, after one warm-up call, in a fresh
-interpreter whose PYTHONPATH is one source tree's src/: the working tree,
-and with --baseline the given git revision, exported with ``git archive``
-into a temporary directory.  The trees take turns, round by round, so a
-drift in machine speed falls on both.  The file records the core count and
-the Python and numpy versions next to the rows.
+overlap is within the machine's run-to-run spread.  Two kinds of rows:
+
+- warm rows time one call of a case, after one warm-up call, in a timing
+  interpreter started for the round, whose PYTHONPATH is one source tree's
+  src/;
+- cold rows ("cold ...") time a fresh ``python -c "import coinwords"`` or
+  ``python -m coinwords.cli ...`` from spawn to exit, interpreter start and
+  imports included.
+
+The trees are the working tree and, with --baseline, the given git
+revision, exported with ``git archive`` into a temporary directory.  They
+take turns case by case (see ``_time_trees``).  The file records the core
+count and the Python and numpy versions next to the rows.
 """
 
 import argparse
@@ -70,28 +78,66 @@ def _cases() -> dict:
     return cases
 
 
-def measure() -> dict:
-    """Milliseconds of one call per case, after a warm-up call, for the
-    coinwords on sys.path."""
+# Cold rows: one fresh interpreter per call, wall time from spawn to exit.
+COLD = {
+    "cold import coinwords": ("-c", "import coinwords"),
+    "cold counts HTHT 20": ("-m", "coinwords.cli", "counts", "HTHT", "20"),
+    "cold tail HTH 22": ("-m", "coinwords.cli", "tail", "HTH", "22"),
+    "cold threshold HHH 1e-100": ("-m", "coinwords.cli", "threshold", "HHH", "1e-100"),
+    "cold stats HTHT": ("-m", "coinwords.cli", "stats", "HTHT"),
+    "cold simulate HTHH 65536 trials": (
+        "-m", "coinwords.cli", "simulate", "HTHH", "--trials", "65536", "--seed", "1",
+    ),
+    "cold verify --full": ("-m", "coinwords.cli", "verify", "--full"),
+}
+
+
+def serve() -> None:
+    """Answer each case name read from stdin with the milliseconds of one
+    call, after a warm-up call, for the coinwords on sys.path.  The first
+    line written lists the cases and the numpy version."""
     import numpy
 
-    rows = {}
-    for name, call in _cases().items():
+    cases = _cases()
+    print(json.dumps({"numpy": numpy.__version__, "cases": list(cases)}), flush=True)
+    for line in sys.stdin:
+        call = cases[line.rstrip("\n")]
         call()
         start = time.perf_counter()
         call()
-        rows[name] = (time.perf_counter() - start) * 1000
-    return {"numpy": numpy.__version__, "rows": rows}
+        print((time.perf_counter() - start) * 1000, flush=True)
 
 
-def _time_tree(src: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import bench_layers, json; print(json.dumps(bench_layers.measure()))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=os.path.dirname(os.path.abspath(__file__)),
-        env=env, capture_output=True, text=True, check=True,
+def _env(src: str) -> dict:
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def _start_server(src: str) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-c", "import bench_layers; bench_layers.serve()"],
+        cwd=os.path.dirname(os.path.abspath(__file__)), env=_env(src),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
     )
-    return json.loads(proc.stdout)
+
+
+def _reply(server: subprocess.Popen) -> str:
+    line = server.stdout.readline()
+    if not line:
+        raise SystemExit(f"bench_layers: timing interpreter exited with {server.wait()}")
+    return line
+
+
+def _time_warm(server: subprocess.Popen, name: str) -> float:
+    server.stdin.write(name + "\n")
+    server.stdin.flush()
+    return float(_reply(server))
+
+
+def _time_cold(src: str, argv: tuple) -> float:
+    start = time.perf_counter()
+    subprocess.run([sys.executable, *argv], cwd=ROOT, env=_env(src),
+                   stdout=subprocess.DEVNULL, check=True)
+    return (time.perf_counter() - start) * 1000
 
 
 def _quartiles(values: list) -> tuple:
@@ -101,19 +147,35 @@ def _quartiles(values: list) -> tuple:
 
 
 def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
-    """({tree label: {case: (Q1, median, Q3) ms}}, numpy version), trees
-    alternating by round."""
+    """({tree label: {case: (Q1, median, Q3) ms}}, numpy version).
+
+    Each round starts one timing interpreter per tree and asks both for
+    every warm case, then runs every cold case in both trees.  The trees
+    take turns case by case, and which goes first alternates from case to
+    case and from round to round, so a drift in machine speed falls on both.
+    """
     times: dict = {label: {} for label in trees}
     labels = list(trees)
     for r in range(repeats):
-        for label in labels if r % 2 == 0 else labels[::-1]:
-            result = _time_tree(trees[label])
-            for name, ms in result["rows"].items():
-                times[label].setdefault(name, []).append(ms)
+        servers = {label: _start_server(src) for label, src in trees.items()}
+        try:
+            hello = {label: json.loads(_reply(server)) for label, server in servers.items()}
+            warm = hello[labels[0]]["cases"]
+            for i, name in enumerate(warm):
+                for label in labels if (r + i) % 2 == 0 else labels[::-1]:
+                    ms = _time_warm(servers[label], name)
+                    times[label].setdefault(name, []).append(ms)
+        finally:
+            for server in servers.values():
+                server.stdin.close()
+                server.wait()
+        for i, (name, argv) in enumerate(COLD.items(), start=len(warm)):
+            for label in labels if (r + i) % 2 == 0 else labels[::-1]:
+                times[label].setdefault(name, []).append(_time_cold(trees[label], argv))
     return {
         label: {name: _quartiles(v) for name, v in rows.items()}
         for label, rows in times.items()
-    }, result["numpy"]
+    }, hello[labels[0]]["numpy"]
 
 
 def _git(*args: str) -> str:
@@ -125,7 +187,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_6.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_7.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

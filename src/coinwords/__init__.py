@@ -1,13 +1,17 @@
-"""Exact analysis of first-occurrence waiting times for H/T patterns in fair coin flips."""
+"""Exact analysis of first-occurrence waiting times for H/T patterns in fair coin flips.
 
-from .closedform import (
-    ClosedFormModel,
-    certify_horizon,
-    closed_form_count,
-    root_formula_count,
-    secondary_term,
-    solve_denominator,
-)
+The exact layers (``words``, ``counting``, ``genfun``, ``stats``) use only
+Python integers and ``Fraction``.  numpy serves root finding
+(``closedform``), Monte Carlo (``montecarlo``) and the enumeration oracle
+(``brute_force_count``, which imports it when called), and importing it
+costs more than the rest of the package.  So ``import coinwords`` loads
+neither ``closedform`` nor ``montecarlo``: their submodule names and
+exports are served on first use by the module ``__getattr__`` below, and
+the exact commands run without numpy.
+"""
+
+import importlib
+
 from .counting import (
     ESSENTIAL_WORDS,
     CountSequence,
@@ -25,12 +29,6 @@ from .genfun import (
     closed_gf,
     finite_gf,
     truncation_remainder,
-)
-from .montecarlo import (
-    EmpiricalSummary,
-    TrialConfig,
-    run_trials,
-    sample_waiting_time,
 )
 from .stats import (
     DyadicRational,
@@ -95,3 +93,25 @@ __all__ = [
     "transition_table",
     "truncation_remainder",
 ]
+
+# Submodule -> exports loaded on first access rather than at import.
+_LAZY = {
+    "closedform": (
+        "ClosedFormModel",
+        "certify_horizon",
+        "closed_form_count",
+        "root_formula_count",
+        "secondary_term",
+        "solve_denominator",
+    ),
+    "montecarlo": ("EmpiricalSummary", "TrialConfig", "run_trials", "sample_waiting_time"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import genfun, montecarlo, stats, verify
+# montecarlo and verify load numpy, so only the commands that use them import them.
+from . import genfun, stats
 from .counting import CountSequence, builtin_spec, counts
 from .words import Word, parse_word
 
@@ -134,6 +135,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import montecarlo
+
     w = _resolve_word(args)
     cfg = montecarlo.TrialConfig(
         word=w, trials=args.trials, seed=args.seed, max_tosses_per_trial=args.cap
@@ -156,6 +159,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     depth = "full" if args.full else "quick"
     results = verify.run_checks(depth=depth)
     failed = 0

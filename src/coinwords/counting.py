@@ -19,7 +19,7 @@ same sequence.  All arithmetic uses Python's unbounded integers.
 
 from dataclasses import dataclass
 
-from .words import Word, brute_force_count
+from .words import ENUMERATION_CAP_ENV, Word, brute_force_count, enumeration_cap
 
 __all__ = [
     "ESSENTIAL_WORDS",
@@ -227,6 +227,14 @@ def counts(w: Word, n_max: int, engine: str = "auto") -> CountSequence:
     if engine == "automaton":
         return automaton_counts(w, n_max)
     if engine == "brute":
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        cap = enumeration_cap()
+        if n_max > cap:
+            raise ValueError(
+                f"n_max {n_max} exceeds the enumeration cap {cap} of the brute engine; "
+                f"raise {ENUMERATION_CAP_ENV} or use another engine"
+            )
         values = tuple(brute_force_count(w, n) for n in range(1, n_max + 1))
         return CountSequence(word=w, values=values)
     raise ValueError(

@@ -160,6 +160,8 @@ class RationalFunction:
 
 def finite_gf(w: Word, m: int) -> Polynomial:
     """Partial sum polynomial: coefficient of x**n is a(n) for 1 <= n <= m."""
+    if m < 1:
+        raise ValueError(f"partial-sum degree m must be >= 1, got {m}")
     seq = counts(w, m)
     return Polynomial((0, *seq.values))
 

@@ -11,8 +11,6 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "ENUMERATION_CAP_ENV",
@@ -127,6 +125,8 @@ def brute_force_count(w: Word, n: int, cap: int | None = None) -> int:
         )
     if n > 62:
         raise ValueError("enumeration beyond 62 tosses is not supported")
+    import numpy as np  # here, not at module level: the exact layers never load it
+
     size = len(w)
     if n < size:
         return 0

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,21 @@ class TestCounts:
         assert code == 2
         assert "enumeration cap 8" in err
 
+    def test_brute_refuses_n_max_past_cap_before_enumerating(self, capsys, monkeypatch):
+        monkeypatch.delenv("COINWORDS_ENUM_CAP", raising=False)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "counts", "HTH", "70", "--engine", "brute")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "n_max 70 exceeds the enumeration cap 24" in err
+
+    def test_brute_refuses_zero_n_max_like_other_engines(self, capsys):
+        for engine in ("recurrence", "automaton", "brute"):
+            code, out, err = run_cli(capsys, "counts", "HTH", "0", "--engine", engine)
+            assert code == 2 and out == "", engine
+            assert "n_max must be >= 1, got 0" in err, engine
+
     def test_lowercase_word_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "counts", "hh", "6")
         assert code == 0
@@ -101,6 +117,11 @@ class TestGf:
         assert code == 0
         assert "partial m=6: x^4 + 2*x^5 + 3*x^6" in out
         assert "closed: (-x^4)/(-1 + 2*x - x^2 + 2*x^3 - x^4)" in out
+
+    def test_zero_degree_names_m(self, capsys):
+        code, out, err = run_cli(capsys, "gf", "HTH", "--m", "0")
+        assert code == 2 and out == ""
+        assert err == "coinwords: error: partial-sum degree m must be >= 1, got 0\n"
 
 
 class TestStats:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinwords import counting
 from coinwords.counting import (
     ESSENTIAL_WORDS,
     CountSequence,
@@ -213,6 +214,17 @@ class TestCountsDispatch:
         seq = counts(w, 40)
         assert seq.values == extend_counts(builtin_spec(w), 40).values
         assert seq.values == automaton_counts(w, 40).values
+
+    def test_brute_checks_n_max_before_enumerating(self, monkeypatch):
+        def enumerate_anyway(w, n):
+            raise AssertionError(f"enumerated n = {n}")
+
+        monkeypatch.delenv("COINWORDS_ENUM_CAP", raising=False)
+        monkeypatch.setattr(counting, "brute_force_count", enumerate_anyway)
+        with pytest.raises(ValueError, match="n_max 70 exceeds the enumeration cap 24"):
+            counts(Word("HTH"), 70, "brute")
+        with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+            counts(Word("HTH"), 0, "brute")
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -74,6 +74,11 @@ class TestFiniteGf:
     def test_hhh_m6(self):
         assert finite_gf(Word("HHH"), 6) == Polynomial((0, 0, 0, 1, 1, 2, 4))
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rejects_degree_below_one_by_name(self, m):
+        with pytest.raises(ValueError, match=f"degree m must be >= 1, got {m}"):
+            finite_gf(Word("HTH"), m)
+
     def test_constant_coefficient_is_zero(self):
         assert finite_gf(Word("HTH"), 9).coefficient(0) == 0
 

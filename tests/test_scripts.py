@@ -47,3 +47,10 @@ def test_bench_layers(tmp_path):
         assert report["rows"][name]["current_ms"] > 0
     for workers in (1, 2):
         assert report["rows"][f"run_trials HHH 1000000 trials workers={workers}"]["current_ms"] > 0
+    cold = [name for name in report["rows"] if name.startswith("cold ")]
+    assert cold == [
+        "cold import coinwords", "cold counts HTHT 20", "cold tail HTH 22",
+        "cold threshold HHH 1e-100", "cold stats HTHT", "cold simulate HTHH 65536 trials",
+        "cold verify --full",
+    ]
+    assert all(report["rows"][name]["current_ms"] > 0 for name in cold)
