@@ -2,14 +2,16 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline c68de78 --repeats 21   # writes BENCH_7.json
+    python scripts/bench_layers.py --baseline e3639a2 --repeats 21   # writes BENCH_8.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
-Each row is the median wall time, in milliseconds, over --repeats rounds,
+Each round times up to CALLS calls of a case, stopping early once
+BUDGET_S seconds have gone into them, and keeps their median.  Each row is
+the median of those per-call times, in milliseconds, over --repeats rounds,
 with the interquartile range beside it: a speedup whose two ranges
 overlap is within the machine's run-to-run spread.  Two kinds of rows:
 
-- warm rows time one call of a case, after one warm-up call, in a timing
+- warm rows time calls of a case, after one warm-up call, in a timing
   interpreter started for the round, whose PYTHONPATH is one source tree's
   src/;
 - cold rows ("cold ...") time a fresh ``python -c "import coinwords"`` or
@@ -34,17 +36,20 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LONG_WORD = "HTHTTHHTHT"
+# One timing of a ~1 ms call varies by 10-20%, so a round keeps the median
+# of several calls; a case slower than BUDGET_S is timed once.
+CALLS = 5
+BUDGET_S = 0.3
 
 
 def _cases() -> dict:
     from fractions import Fraction
 
-    from coinwords import Word
+    from coinwords import Word, verify
     from coinwords.counting import ESSENTIAL_WORDS, automaton_counts, builtin_spec, extend_counts
     from coinwords.genfun import closed_gf, finite_gf
     from coinwords.montecarlo import TrialConfig, run_trials
     from coinwords.stats import cdf, pmf, tail, threshold
-    from coinwords.verify import run_checks
     from coinwords.words import all_words, brute_force_count
 
     hth, long_word = Word("HTH"), Word(LONG_WORD)
@@ -73,8 +78,12 @@ def _cases() -> dict:
     ]
     short = [w for k in range(1, 9) for w in all_words(k)]
     cases["closed_gf series(40) words k<=8"] = lambda: [closed_gf(w).series(40) for w in short]
-    cases["verify quick"] = lambda: run_checks("quick")
-    cases["verify full"] = lambda: run_checks("full")
+    cases["verify tail-identities n<=64"] = lambda: verify._check_tail_routes(64)
+    cases["verify cdf-vs-partial-sum m<=64"] = lambda: verify._check_cdf_vs_partial_gf(64)
+    slack = Fraction(1, 10**6)
+    cases["verify normalization m<=200"] = lambda: verify._check_normalization(200, slack)
+    cases["verify quick"] = lambda: verify.run_checks("quick")
+    cases["verify full"] = lambda: verify.run_checks("full")
     return cases
 
 
@@ -92,10 +101,21 @@ COLD = {
 }
 
 
+def _per_call_ms(call) -> float:
+    """Median milliseconds of up to CALLS calls, stopping once BUDGET_S
+    seconds have gone into them; at least one call."""
+    seconds: list = []
+    while len(seconds) < CALLS and sum(seconds) < BUDGET_S:
+        start = time.perf_counter()
+        call()
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds) * 1000
+
+
 def serve() -> None:
-    """Answer each case name read from stdin with the milliseconds of one
-    call, after a warm-up call, for the coinwords on sys.path.  The first
-    line written lists the cases and the numpy version."""
+    """Answer each case name read from stdin with its per-call milliseconds,
+    after a warm-up call, for the coinwords on sys.path.  The first line
+    written lists the cases and the numpy version."""
     import numpy
 
     cases = _cases()
@@ -103,9 +123,7 @@ def serve() -> None:
     for line in sys.stdin:
         call = cases[line.rstrip("\n")]
         call()
-        start = time.perf_counter()
-        call()
-        print((time.perf_counter() - start) * 1000, flush=True)
+        print(_per_call_ms(call), flush=True)
 
 
 def _env(src: str) -> dict:
@@ -134,10 +152,9 @@ def _time_warm(server: subprocess.Popen, name: str) -> float:
 
 
 def _time_cold(src: str, argv: tuple) -> float:
-    start = time.perf_counter()
-    subprocess.run([sys.executable, *argv], cwd=ROOT, env=_env(src),
-                   stdout=subprocess.DEVNULL, check=True)
-    return (time.perf_counter() - start) * 1000
+    return _per_call_ms(lambda: subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=_env(src), stdout=subprocess.DEVNULL, check=True,
+    ))
 
 
 def _quartiles(values: list) -> tuple:
@@ -187,7 +204,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_7.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_8.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:
@@ -208,7 +225,8 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": numpy_version,
         "repeats": args.repeats,
-        "unit": "ms, median and interquartile range over rounds of one call each",
+        "unit": f"ms, median and interquartile range over rounds of the per-call median "
+                f"of up to {CALLS} calls ({BUDGET_S} s budget) each",
         "current": "working tree",
         "rows": {},
     }

@@ -163,12 +163,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     depth = "full" if args.full else "quick"
     results = verify.run_checks(depth=depth)
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        failed += not res.passed
-        print(f"{status} {res.name}: {res.detail}")
-    print(f"{len(results) - failed}/{len(results)} checks passed ({depth})")
+    failed = sum(not res.passed for res in results)
+    if args.format == "json":
+        import json
+        from dataclasses import asdict
+
+        print(json.dumps([asdict(res) for res in results], indent=2))
+    else:
+        for res in results:
+            status = "PASS" if res.passed else "FAIL"
+            print(f"{status} {res.name}: {res.detail}")
+        print(f"{len(results) - failed}/{len(results)} checks passed ({depth})")
     return 2 if failed else 0
 
 
@@ -229,6 +234,7 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--quick", action="store_true", default=True)
     group.add_argument("--full", action="store_true")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -76,10 +76,13 @@ class Polynomial:
         return Polynomial(tuple(out))
 
     def __call__(self, x: int | Fraction) -> Fraction:
-        acc = Fraction(0)
+        """Exact value at x = p/q: Horner on sum c_i p**i q**(d-i) in integers, over q**d."""
+        p, q = x.numerator, x.denominator
+        acc, scale = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc * q, scale)
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])

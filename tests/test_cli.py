@@ -1,11 +1,12 @@
+import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from coinwords import stats
+from coinwords import stats, verify
 from coinwords.cli import main
-from coinwords.counting import RecurrenceSpec
+from coinwords.counting import CountSequence, RecurrenceSpec
 from coinwords.verify import run_checks
 from coinwords.words import Word
 
@@ -238,6 +239,18 @@ class TestVerifyCommand:
         ):
             assert name in out
 
+    def test_json_records_match_text_report(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 0
+        records = json.loads(out)
+        _, text, _ = run_cli(capsys, "verify")
+        text_names = [line.split(":")[0].split(" ", 1)[1] for line in text.splitlines()[:-1]]
+        assert len(records) == 12
+        assert [r["name"] for r in records] == text_names
+        for r in records:
+            assert set(r) == {"name", "passed", "detail", "seconds"}
+            assert r["passed"] is True and r["seconds"] > 0
+
 
 class TestNegativeControl:
     def test_corrupted_recurrence_fails_named_checks(self):
@@ -250,6 +263,32 @@ class TestNegativeControl:
         assert "engine-agreement" in failures
         # untouched checks keep passing
         assert all(r.passed for r in results if r.name == "moment-sums")
+
+    def test_corrupted_jump_fails_checks_that_read_it(self, monkeypatch):
+        exact = stats.nth_term
+        monkeypatch.setattr(
+            stats, "nth_term", lambda spec, n: exact(spec, n) + (n > 40)
+        )
+        results = {r.name: r for r in run_checks(depth="quick")}
+        for name in ("tail-identities", "cdf-vs-partial-sum", "normalization"):
+            assert not results[name].passed, name
+        assert results["moment-sums"].passed
+
+    def test_corrupted_stepped_sequence_fails_tail_identities(self, monkeypatch):
+        exact = verify.extend_counts
+
+        def corrupted(spec, n_max):
+            seq = exact(spec, n_max)
+            if n_max <= 30:
+                return seq
+            values = list(seq.values)
+            values[30] += 1  # the term at n = 31
+            return CountSequence(word=seq.word, values=tuple(values))
+
+        monkeypatch.setattr(verify, "extend_counts", corrupted)
+        results = {r.name: r for r in run_checks(depth="quick")}
+        assert not results["tail-identities"].passed
+        assert "at n=31" in results["tail-identities"].detail
 
 
 class TestExitCodes:

@@ -26,6 +26,14 @@ polys_st = st.lists(fractions_st, min_size=0, max_size=5).map(
 )
 
 
+def fraction_horner(coeffs, x):
+    """Reference evaluation with a Fraction at every Horner step."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestPolynomial:
     def test_trailing_zeros_trimmed(self):
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
@@ -42,6 +50,26 @@ class TestPolynomial:
         p = Polynomial((1, -2, 1))  # (1-x)^2
         assert p(HALF) == Fraction(1, 4)
         assert p(1) == 0
+
+    @given(
+        st.lists(st.integers(-(10**6), 10**6), max_size=12),
+        st.one_of(
+            st.integers(-50, 50),
+            st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_call_matches_fraction_horner(self, coeffs, x):
+        value = Polynomial(tuple(coeffs))(x)
+        assert isinstance(value, Fraction)
+        assert value == fraction_horner(coeffs, x)
+
+    def test_call_edge_points(self):
+        for coeffs in ((), (0,), (7,), (1, -2, 1), (0, 0, 3, -5)):
+            for x in (0, -1, Fraction(0), Fraction(-3, 4), Fraction(5, 3)):
+                value = Polynomial(coeffs)(x)
+                assert isinstance(value, Fraction)
+                assert value == fraction_horner(coeffs, x)
 
     def test_derivative(self):
         assert Polynomial((3, 2, 1)).derivative() == Polynomial((2, 2))

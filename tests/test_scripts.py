@@ -43,7 +43,11 @@ def test_bench_layers(tmp_path):
     assert row["current_ms"] > 0 and row["current_iqr_ms"] == [row["current_ms"]] * 2
     assert "verify quick" in report["rows"] and "verify full" in report["rows"]
     assert report["rows"]["brute_force_count HTH n=22"]["current_ms"] > 0
-    for name in ("finite_gf at 1/2 essential words m=1..64", "closed_gf series(40) words k<=8"):
+    for name in (
+        "finite_gf at 1/2 essential words m=1..64", "closed_gf series(40) words k<=8",
+        "verify tail-identities n<=64", "verify cdf-vs-partial-sum m<=64",
+        "verify normalization m<=200",
+    ):
         assert report["rows"][name]["current_ms"] > 0
     for workers in (1, 2):
         assert report["rows"][f"run_trials HHH 1000000 trials workers={workers}"]["current_ms"] > 0
