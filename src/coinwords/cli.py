@@ -34,11 +34,18 @@ def _add_word_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--word", dest="word_flag", help="pattern over {H,T}")
 
 
+def _positional_or_flag(pos, flag_value, flag: str, what: str):
+    """The one value given either positionally or as ``flag``; giving it both
+    ways or neither is a usage error."""
+    if pos is not None and flag_value is not None:
+        raise _UsageError(f"{what} given twice (positional and {flag})")
+    if pos is None and flag_value is None:
+        raise _UsageError(f"{what} is required (positional or {flag})")
+    return pos if flag_value is None else flag_value
+
+
 def _resolve_word(args: argparse.Namespace) -> Word:
-    text = args.word_flag if args.word_flag is not None else args.word_pos
-    if text is None:
-        raise _UsageError("a word is required (positional or --word)")
-    return parse_word(text)
+    return parse_word(_positional_or_flag(args.word_pos, args.word_flag, "--word", "a word"))
 
 
 class _UsageError(Exception):
@@ -51,9 +58,7 @@ def _print_counts_csv(seq: CountSequence) -> None:
 
 def _cmd_counts(args: argparse.Namespace) -> int:
     w = _resolve_word(args)
-    n_max = args.n_flag if args.n_flag is not None else args.n_pos
-    if n_max is None:
-        raise _UsageError("a toss count is required (positional or --n-max)")
+    n_max = _positional_or_flag(args.n_pos, args.n_flag, "--n-max", "a toss count")
     seq = counts(w, n_max, engine=args.engine)
     if args.format == "csv":
         _print_counts_csv(seq)
@@ -104,9 +109,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_tail(args: argparse.Namespace) -> int:
     w = _resolve_word(args)
-    n = args.n_flag if args.n_flag is not None else args.n_pos
-    if n is None:
-        raise _UsageError("a toss index is required (positional or --n-max)")
+    n = _positional_or_flag(args.n_pos, args.n_flag, "--n-max", "a toss index")
     value = stats.tail(w, n)
     frac = value.as_fraction()
     if args.format == "csv":
@@ -119,10 +122,11 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     w = _resolve_word(args)
-    q = args.q_flag if args.q_flag is not None else args.q_pos
-    if q is None:
-        raise _UsageError("a quantile is required (positional or --q)")
-    q = Fraction(q)
+    text = _positional_or_flag(args.q_pos, args.q_flag, "--q", "a quantile")
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
+        raise _UsageError(f"Q must be a fraction or decimal, got {text!r}") from None
     n = stats.threshold(w, q)
     value = stats.tail(w, n)
     if args.format == "csv":

@@ -16,6 +16,7 @@ instead, an independent route to the same waiting times.
 """
 
 import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -187,14 +188,19 @@ def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
     """Run all trials and aggregate.
 
     ``workers`` only controls scheduling; the per-trial substreams and the
-    integer merge make the summary independent of it.
+    integer merge make the summary independent of it.  The pool has at most
+    one thread per chunk and per core.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     spans = [
         (lo, min(lo + _CHUNK, cfg.trials)) for lo in range(0, cfg.trials, _CHUNK)
     ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # Executor.map submits every chunk at once, and the pool starts a thread per
+    # submitted chunk up to max_workers; the chunks are CPU-bound, so threads
+    # beyond the cores would only contend.
+    threads = min(workers, len(spans), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(lambda span: _run_chunk(cfg, *span), spans))
     histogram: dict[int, int] = {}
     truncated = 0

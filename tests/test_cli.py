@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -173,6 +174,20 @@ class TestThreshold:
         assert code == 0
         assert out.startswith("N=7 ")
 
+    @pytest.mark.parametrize("q", ["1/0", "abc", "1/2/3"])
+    def test_malformed_q_is_usage_error(self, capsys, q):
+        code, out, err = run_cli(capsys, "threshold", "HTH", q)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"coinwords: error: Q must be a fraction or decimal, got {q!r}"]
+
+    @pytest.mark.parametrize("q", ["0", "3/2", "-0.1"])
+    def test_q_outside_unit_interval_is_domain_error(self, capsys, q):
+        code, out, err = run_cli(capsys, "threshold", "HTH", q)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "0 < q <= 1" in err
+
     def test_past_the_scan_limit_is_domain_error(self, capsys, monkeypatch):
         monkeypatch.setattr(stats, "_THRESHOLD_LIMIT", 50)
         code, out, err = run_cli(capsys, "threshold", "HHHHHHHHHH", "0.5")
@@ -239,6 +254,41 @@ class TestVerifyCommand:
         ):
             assert name in out
 
+    @pytest.mark.parametrize(
+        "flag, depth, brute_n, max_len", [("--quick", "quick", 14, 4), ("--full", "full", 20, 5)]
+    )
+    def test_report_is_pinned_line_by_line(self, capsys, flag, depth, brute_n, max_len):
+        code, out, _ = run_cli(capsys, "verify", flag)
+        assert code == 0 and out.endswith("\n")
+        lines = out.splitlines()
+        # The horizons come from float roots, so only their form is pinned.
+        assert re.fullmatch(
+            r"PASS closed-form-horizons: certified horizons: "
+            r"HT=\d+ HH=\d+ HHH=\d+ HHT=\d+ HTT=\d+ HTH=\d+",
+            lines.pop(6),
+        )
+        assert lines == [
+            "PASS reference-counts: all frozen rows reproduced",
+            "PASS engine-agreement: recurrence = automaton = enumeration for 12 words, "
+            f"n <= {brute_n}",
+            "PASS complement-symmetry: counts invariant under H<->T for lengths "
+            f"<= {max_len}, n <= 20",
+            "PASS tail-identities: tail by jump-ahead to b(n-1) equals the avoidance "
+            "recurrence run term by term for 12 words, n <= 64",
+            "PASS cdf-vs-partial-sum: cdf equals the partial sum evaluated at 1/2 for m <= 64",
+            "PASS truncation-identity: partial sum times denominator matches for 9 words "
+            "of lengths 1-8, m = max(2, k-1)..12",
+            "PASS rounding-slack: discarded term stays below 1/2 from n = len(w) across "
+            "every certified range",
+            "PASS root-residuals: all residuals <= 1e-12, conjugate pairs intact",
+            "PASS root-formula: partial-fraction sum over the roots of D rounds to the "
+            "exact counts for 9 words of lengths 1-8, n <= 30",
+            "PASS moment-sums: truncated moment sums (n <= 400) match the exact moments "
+            "to 1e-06",
+            "PASS normalization: cdf nondecreasing, <= 1, and >= 1 - 1e-06 by m = 200",
+            f"12/12 checks passed ({depth})",
+        ]
+
     def test_json_records_match_text_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 0
@@ -253,11 +303,15 @@ class TestVerifyCommand:
 
 
 class TestNegativeControl:
-    def test_corrupted_recurrence_fails_named_checks(self):
+    def test_corrupted_recurrence_fails_named_checks(self, monkeypatch):
         broken = RecurrenceSpec(
             order=2, coefficients=(1, 2), initial_values=(0, 1), word=Word("HH")
         )
-        results = run_checks(depth="quick", specs={"HH": broken})
+        exact = verify.builtin_spec
+        monkeypatch.setattr(
+            verify, "builtin_spec", lambda w: broken if w.letters == "HH" else exact(w)
+        )
+        results = run_checks(depth="quick")
         failures = {r.name for r in results if not r.passed}
         assert "reference-counts" in failures
         assert "engine-agreement" in failures
@@ -304,3 +358,21 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "counts")
         assert code == 1
         assert "word is required" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("counts", "HH", "5", "--word", "HT"), "a word given twice"),
+            (("counts", "HH", "5", "--n-max", "6"), "a toss count given twice"),
+            (("tail", "HTH", "5", "--n-max", "7"), "a toss index given twice"),
+            (("threshold", "HTH", "1/2", "--q", "1/4"), "a quantile given twice"),
+            (("counts", "HH"), "a toss count is required"),
+            (("tail", "HTH"), "a toss index is required"),
+            (("threshold", "HTH"), "a quantile is required"),
+        ],
+    )
+    def test_value_given_twice_or_not_at_all_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and message in err

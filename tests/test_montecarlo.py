@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinwords import montecarlo
 from coinwords.counting import transition_table
 from coinwords.montecarlo import (
     EmpiricalSummary,
@@ -113,6 +114,41 @@ class TestRunTrials:
         one = run_trials(cfg, workers=1)
         four = run_trials(cfg, workers=4)
         assert one == four
+
+    @pytest.mark.parametrize(
+        "trials, workers, cores, pool_size",
+        [
+            (1, 100_000, 64, 1),
+            (3 << 16, 100_000, 64, 3),
+            (3 << 16, 2, 64, 2),
+            (3 << 16, 100_000, 2, 2),
+        ],
+    )
+    def test_pool_is_sized_by_chunks_and_cores(
+        self, monkeypatch, trials, workers, cores, pool_size
+    ):
+        sizes = []
+
+        class InlinePool:  # records the pool size and runs each chunk in this thread
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        cfg = TrialConfig(word=Word("HH"), trials=trials, seed=7)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        inline = run_trials(cfg, workers=workers)
+        assert sizes == [pool_size]
+        monkeypatch.undo()
+        assert inline == run_trials(cfg, workers=1)
 
     def test_histogram_accounts_for_every_trial(self):
         cfg = TrialConfig(word=Word("HHH"), trials=50_000, seed=11)
