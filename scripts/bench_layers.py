@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline f7d73c2 --repeats 21   # writes BENCH_9.json
+    python scripts/bench_layers.py --baseline a1e0f8f --repeats 21   # writes BENCH_10.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -42,6 +42,15 @@ CALLS = 5
 BUDGET_S = 0.3
 
 
+def _refused(f, *args) -> None:
+    """Call f, which must refuse with ValueError."""
+    try:
+        f(*args)
+    except ValueError:
+        return
+    raise AssertionError(f"{f.__name__}{args} was not refused")
+
+
 def _cases() -> dict:
     from fractions import Fraction
 
@@ -53,7 +62,7 @@ def _cases() -> dict:
     from coinwords.words import all_words, brute_force_count
 
     hth, long_word = Word("HTH"), Word(LONG_WORD)
-    deep = Fraction("1e-100")
+    deep, micro = Fraction("1e-100"), Fraction("1e-6")
     cases = {
         "extend_counts HTH n=20000": lambda: extend_counts(builtin_spec(hth), 20000),
         "brute_force_count HTH n=22": lambda: brute_force_count(hth, 22),
@@ -64,6 +73,12 @@ def _cases() -> dict:
             cases[f"{f.__name__} {w} n=20000"] = lambda f=f, w=w: f(w, 20000)
     for letters in ("HHH", "HTH"):
         cases[f"threshold {letters} q=1e-100"] = lambda w=Word(letters): threshold(w, deep)
+    for letters in ("HHHHHHHHHH", "HTHTHTHTHT"):
+        cases[f"threshold {letters} q=1e-6"] = lambda w=Word(letters): threshold(w, micro)
+    cases["threshold HTH q=1/10"] = lambda: threshold(hth, Fraction(1, 10))
+    cases["threshold HHHHHHHHHHHHHHHHHHHH q=1/2 refusal"] = lambda: _refused(
+        threshold, Word("H" * 20), Fraction(1, 2)
+    )
     for cap in (512, 8192):
         cfg = TrialConfig(word=Word("HTHH"), trials=65536, seed=1, max_tosses_per_trial=cap)
         cases[f"run_trials HTHH 65536 trials cap={cap}"] = lambda cfg=cfg: run_trials(cfg)
@@ -204,7 +219,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_9.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_10.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

@@ -48,6 +48,21 @@ def _resolve_word(args: argparse.Namespace) -> Word:
     return parse_word(_positional_or_flag(args.word_pos, args.word_flag, "--word", "a word"))
 
 
+def _word_and_value(args: argparse.Namespace, flag: str, what: str, integer: bool = False):
+    """The word and the command's one value (N or Q), each given positionally
+    or by its flag.  argparse binds the first positional to WORD, so once
+    ``--word`` is given and the value is not, that positional is the value."""
+    if args.word_flag is not None and args.value_pos is None and args.value_flag is None:
+        args.word_pos, args.value_pos = None, args.word_pos
+        if integer and args.value_pos is not None:
+            try:
+                args.value_pos = int(args.value_pos)
+            except ValueError:
+                raise _UsageError(f"{what} must be an integer, got {args.value_pos!r}") from None
+    w = _resolve_word(args)
+    return w, _positional_or_flag(args.value_pos, args.value_flag, flag, what)
+
+
 class _UsageError(Exception):
     pass
 
@@ -57,8 +72,7 @@ def _print_counts_csv(seq: CountSequence) -> None:
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
-    w = _resolve_word(args)
-    n_max = _positional_or_flag(args.n_pos, args.n_flag, "--n-max", "a toss count")
+    w, n_max = _word_and_value(args, "--n-max", "a toss count", integer=True)
     seq = counts(w, n_max, engine=args.engine)
     if args.format == "csv":
         _print_counts_csv(seq)
@@ -108,8 +122,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
-    w = _resolve_word(args)
-    n = _positional_or_flag(args.n_pos, args.n_flag, "--n-max", "a toss index")
+    w, n = _word_and_value(args, "--n-max", "a toss index", integer=True)
     value = stats.tail(w, n)
     frac = value.as_fraction()
     if args.format == "csv":
@@ -121,8 +134,7 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    w = _resolve_word(args)
-    text = _positional_or_flag(args.q_pos, args.q_flag, "--q", "a quantile")
+    w, text = _word_and_value(args, "--q", "a quantile")
     try:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
@@ -187,8 +199,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("counts", help="first-occurrence counts a(n)")
     _add_word_args(p)
-    p.add_argument("n_pos", nargs="?", type=int, metavar="N_MAX")
-    p.add_argument("--n-max", dest="n_flag", type=int)
+    p.add_argument("value_pos", nargs="?", type=int, metavar="N_MAX")
+    p.add_argument("--n-max", dest="value_flag", type=int, metavar="N_MAX")
     p.add_argument(
         "--engine",
         choices=("auto", "recurrence", "automaton", "brute"),
@@ -213,15 +225,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tail", help="P(waiting time >= N), exact")
     _add_word_args(p)
-    p.add_argument("n_pos", nargs="?", type=int, metavar="N")
-    p.add_argument("--n-max", dest="n_flag", type=int, metavar="N")
+    p.add_argument("value_pos", nargs="?", type=int, metavar="N")
+    p.add_argument("--n-max", dest="value_flag", type=int, metavar="N")
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("threshold", help="smallest N with tail(N) <= q")
     _add_word_args(p)
-    p.add_argument("q_pos", nargs="?", metavar="Q")
-    p.add_argument("--q", dest="q_flag", metavar="Q")
+    p.add_argument("value_pos", nargs="?", metavar="Q")
+    p.add_argument("--q", dest="value_flag", metavar="Q")
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.set_defaults(func=_cmd_threshold)
 

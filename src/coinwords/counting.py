@@ -30,6 +30,7 @@ __all__ = [
     "counts",
     "extend_counts",
     "nth_term",
+    "nth_terms",
     "transition_table",
 ]
 
@@ -131,30 +132,63 @@ def _half_product(a: list[int], b: list[int], parity: int) -> list[int]:
     return out
 
 
+def _generating_fraction(spec: RecurrenceSpec) -> tuple[list[int], list[int]]:
+    """(P, Q) with the terms from n = 1 on the Taylor coefficients of P(x)/Q(x).
+
+    Q(x) = 1 - sum c_i x**(i+1) and P = (Q * sum init_i x**i) mod x**k.
+    """
+    den = [1] + [-c for c in spec.coefficients]
+    init = spec.initial_values
+    return [sum(den[j] * init[i - j] for j in range(i + 1)) for i in range(spec.order)], den
+
+
 def nth_term(spec: RecurrenceSpec, n: int) -> int:
     """The n-th term of ``spec`` alone, equal to ``extend_counts(spec, n).at(n)``.
 
-    The terms from n = 1 on are the Taylor coefficients of P(x)/Q(x) with
-    Q(x) = 1 - sum c_i x**(i+1) and P = (Q * sum init_i x**i) mod x**k.
-    Bostan-Mori multiplies both by Q(-x), which leaves an even denominator,
-    and keeps the half of the numerator whose parity matches the index; each
-    round halves the index.  That is O(log n) integer products of degree-k
-    polynomials whose coefficients grow to O(n) bits.
+    Bostan-Mori multiplies both halves of the generating fraction P(x)/Q(x)
+    by Q(-x), which leaves an even denominator, and keeps the half of the
+    numerator whose parity matches the index; each round halves the index.
+    That is O(log n) integer products of degree-k polynomials whose
+    coefficients grow to O(n) bits.
     """
     if n < 1:
         raise ValueError(f"term index must be >= 1, got {n}")
-    k = spec.order
-    if n <= k:
+    if n <= spec.order:
         return spec.initial_values[n - 1]
-    den = [1] + [-c for c in spec.coefficients]
-    init = spec.initial_values
-    num = [sum(den[j] * init[i - j] for j in range(i + 1)) for i in range(k)]
+    num, den = _generating_fraction(spec)
     index = n - 1
     while index:
         num = _half_product(num, den, index & 1)
         den = _half_product(den, den, 0)
         index >>= 1
     return num[0]
+
+
+def nth_terms(spec: RecurrenceSpec, indices: tuple[int, ...]) -> tuple[int, ...]:
+    """``nth_term`` at each of ``indices``, the jumps sharing one denominator chain.
+
+    The chain Q(x), Q(x)Q(-x), ... does not depend on the index; only how
+    far it runs does (the bit length of the index).  So each further index
+    costs one numerator product per round: two neighbouring terms take three
+    products per round instead of four.
+    """
+    if min(indices) < 1:
+        raise ValueError(f"term index must be >= 1, got {min(indices)}")
+    init = spec.initial_values
+    num, den = _generating_fraction(spec)
+    out = [init[n - 1] if n <= spec.order else 0 for n in indices]
+    live = [(i, n - 1, num) for i, n in enumerate(indices) if n > spec.order]
+    while live:
+        rest = []
+        for i, index, part in live:
+            part = _half_product(part, den, index & 1)
+            if index > 1:
+                rest.append((i, index >> 1, part))
+            else:
+                out[i] = part[0]
+        live = rest
+        den = _half_product(den, den, 0)
+    return tuple(out)
 
 
 def transition_table(w: Word) -> list[list[int]]:

@@ -6,15 +6,16 @@ module keeps an exact dyadic type for distribution values and plain
 term they need with ``counting.nth_term``: ``pmf`` reads a(n), and ``cdf``
 and ``tail`` read b(m), the number of length-m records that avoid the
 pattern, whose sequence c(x)/D(x) runs on the same recurrence as the
-first-occurrence counts.  ``threshold`` walks that avoidance recurrence in
-plain integers.  ``closed_tail`` runs the avoidance recurrence term by term,
+first-occurrence counts.  ``threshold`` guesses where the tail crosses q
+from the tail's geometric decay and decides with exact jumps around the
+guess.  ``closed_tail`` runs the avoidance recurrence term by term,
 a second route to the tail, and the moments are closed sums over the
 pattern's self-overlaps; all of it comes from the autocorrelation polynomial
-(see ``counting``).  Floating point only ever appears in the displayed
-standard deviation.
+(see ``counting``).  Floating point appears only in the displayed
+standard deviation and in the guess of ``threshold``, which picks where to
+look but never decides the answer.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import total_ordering
@@ -27,6 +28,7 @@ from .counting import (
     counts,
     extend_counts,
     nth_term,
+    nth_terms,
 )
 from .words import Word
 
@@ -42,11 +44,11 @@ __all__ = [
     "threshold",
 ]
 
-_THRESHOLD_LIMIT = 100_000  # scan guard; tails decay geometrically long before this
+_THRESHOLD_LIMIT = 100_000  # answers past this + 1 are refused
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyadicRational:
     """numerator / 2**exponent, canonical with an odd (or zero) numerator.
 
@@ -177,40 +179,106 @@ def moments(w: Word) -> WordStats:
     )
 
 
+def _decay(w: Word) -> tuple[float, float]:
+    """(ln A, ln 2r) with tail(w, n) ~ A (2r)**-(n-1), in floats.
+
+    r is the smallest root of D(x) = x**k + (1 - 2x) c(x) in (1/2, 1], and A
+    the residue -c(r) / (r D'(r)).  Near 1/2 the terms of D cancel, so Newton
+    runs on u = 2x - 1, where 2**k D(x) = (1+u)**k - u sum 2**(k-i) (1+u)**i
+    over the overlap shifts i, scaled by the mean M = sum 2**(k-i); it starts
+    from u = 1 / (M - k), bisecting whenever a step leaves the bracket.  At
+    HT's double root x = 1 the slope vanishes and A is taken as 1.
+    """
+    k, shifts = len(w), _overlaps(w)
+    mean = sum(1 << (k - i) for i in shifts)
+    weights = [((1 << (k - i)) / mean, i) for i in shifts]
+    scale = 1 / mean
+
+    def scaled(u: float) -> tuple[float, float, float]:
+        """(value, slope, the sum over the shifts) of 2**k D / M at u."""
+        g = sum(a * (1 + u) ** i for a, i in weights)
+        dg = sum(a * i * (1 + u) ** (i - 1) for a, i in weights)
+        value = scale * (1 + u) ** k - u * g
+        return value, scale * k * (1 + u) ** (k - 1) - g - u * dg, g
+
+    lo, hi = 0.0, 1.0  # value(0) = 1 / M > 0 >= value(1) = 2**k D(1) / M
+    u = 1 / (mean - k)
+    if scaled(2 * u)[0] <= 0:
+        hi = min(hi, 2 * u)
+    for _ in range(100):
+        value, slope, g = scaled(u)
+        if value > 0:
+            lo = u
+        else:
+            hi = u
+        step = u - value / slope if slope else hi
+        if not lo < step < hi:
+            step = (lo + hi) / 2
+        if value == 0 or abs(step - u) <= 1e-15 * u:
+            break
+        u = step
+    value, slope, g = scaled(u)
+    ln_a = 0.0 if abs(slope) < 1e-6 else math.log(-g / ((1 + u) * slope))
+    return ln_a, math.log1p(u) or math.ulp(0.0)  # u underflows past ~1070 letters
+
+
+def _ln_ratio(x: int, y: int) -> float:
+    """ln(x / y) for positive integers, to float precision also near x = y."""
+    if y < 2 * x and x < 2 * y:
+        return math.log1p((x - y) / y)
+    return math.log(x) - math.log(y)
+
+
 def threshold(w: Word, q: Fraction | float | str) -> int:
     """Smallest n with tail(w, n) <= q, for 0 < q <= 1.
 
-    tail(w, n) = b(n-1)/2**(n-1), so the scan tests
-    b(n-1) * q.denominator <= q.numerator * 2**(n-1) in integers.  The
-    recurrence is linear, so it runs on b * q.denominator directly, keeping
-    a window of the last k values.  The tail is strictly decreasing once n
-    reaches the pattern length, so the scan terminates; a threshold past
-    the scan limit is refused with ``ValueError``.
+    tail(w, n) = b(n-1)/2**(n-1) is 1 up to n = k and strictly decreasing
+    after, like A (2r)**-(n-1) (see ``_decay``).  That float model only picks
+    where to look.  Each look jumps to b(n-2) and b(n-1) with one
+    ``nth_terms`` call and tests tail(n) <= q < tail(n-1) in integers,
+    b * q.denominator against q.numerator * 2**(n-1).  A miss aims again from
+    the exact tail it read and narrows the range the next look must fall in,
+    so the answer is exact whatever the floats say.  An answer past
+    n = _THRESHOLD_LIMIT + 1 is refused with ``ValueError``; when the model
+    puts it there, one look at that n decides.
     """
     q = Fraction(q)
     if not 0 < q <= 1:
         raise ValueError(f"quantile must satisfy 0 < q <= 1, got {q}")
+    if q == 1:
+        return 1
     spec = _avoidance_spec(w)
-    terms = [(-1 - i, c) for i, c in enumerate(spec.coefficients) if c]
-    window = [v * q.denominator for v in spec.initial_values]
-    bound = q.numerator  # q.numerator * 2**(n-1)
-    for n in itertools.count(1):
-        if n <= spec.order:
-            scaled = window[n - 1]
+    ln_a, ln_rate = _decay(w)
+    ln_q = _ln_ratio(q.numerator, q.denominator)
+    limit = _THRESHOLD_LIMIT + 1
+
+    def aim(n: int, ln_over_q: float) -> int:
+        """Where the decay reaches q from a tail(n) that is exp(ln_over_q) q."""
+        return n + math.ceil(max(-limit, min(limit, ln_over_q / ln_rate)))
+
+    def look(n: int, b: int) -> tuple[bool, int]:
+        """(tail(n) = b / 2**(n-1) > q, and the aim from it)."""
+        x, y = b * q.denominator, q.numerator << (n - 1)
+        return x > y, aim(n, _ln_ratio(x, y))
+
+    lo, hi, n = spec.order, limit, aim(1, ln_a - ln_q)  # tail(lo) = 1 > q
+    while True:
+        n = min(max(n, lo + 1), hi)
+        before, at = nth_terms(spec, (n - 1, n))
+        above, next_n = look(n, at)
+        if above:
+            if n == limit:
+                raise ValueError(
+                    f"threshold of {w} at q = {q} lies past the limit n = {_THRESHOLD_LIMIT}"
+                    f" (the decay model puts it near n = {1 + (ln_a - ln_q) / ln_rate:.3g})"
+                )
+            lo = n
         else:
-            scaled = 0
-            for i, c in terms:
-                scaled += c * window[i]
-            window.append(scaled)
-            del window[0]
-        if scaled <= bound:
-            return n
-        if n > _THRESHOLD_LIMIT:
-            raise ValueError(
-                f"threshold of {w} at q = {q} lies past the scan limit n = {_THRESHOLD_LIMIT}"
-            )
-        bound <<= 1
-    raise AssertionError("unreachable")
+            above, next_n = look(n - 1, before)
+            if above:
+                return n
+            hi = n - 1
+        n = next_n
 
 
 def partial_moment_sums(w: Word, n_max: int) -> tuple[Fraction, Fraction]:

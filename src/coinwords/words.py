@@ -29,7 +29,7 @@ _COMPLEMENT = str.maketrans("HT", "TH")
 _CHUNK = 1 << 22  # outcome integers per numpy block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A nonempty pattern over {H, T} in canonical uppercase form."""
 

@@ -376,3 +376,23 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "argv, same_as",
+        [
+            (("counts", "--word", "HH", "6"), ("counts", "HH", "6")),
+            (("tail", "--word", "HTH", "5"), ("tail", "HTH", "5")),
+            (("threshold", "--word", "HTH", "0.1"), ("threshold", "HTH", "0.1")),
+        ],
+    )
+    def test_value_positional_after_word_flag(self, capsys, argv, same_as):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *same_as)[1]
+
+    @pytest.mark.parametrize("command", ["counts", "tail"])
+    def test_malformed_n_after_word_flag_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--word", "HH", "abc")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "'abc'" in err

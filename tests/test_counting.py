@@ -12,6 +12,7 @@ from coinwords.counting import (
     counts,
     extend_counts,
     nth_term,
+    nth_terms,
     transition_table,
 )
 from coinwords.stats import _avoidance_spec
@@ -126,6 +127,28 @@ class TestNthTerm:
     def test_rejects_index_below_one(self):
         with pytest.raises(ValueError):
             nth_term(builtin_spec(Word("HH")), 0)
+
+
+class TestNthTerms:
+    """Several jumps on one denominator chain against one jump each."""
+
+    @pytest.mark.parametrize(
+        "indices", [(1,), (2, 3), (63, 64), (64, 65), (1000, 1), (5, 4097, 4096, 2)]
+    )
+    def test_matches_nth_term(self, indices):
+        for letters in ("H", "HT", "HHH", "HTHT", "HHTHTTHHTH"):
+            for spec in (builtin_spec(Word(letters)), _avoidance_spec(Word(letters))):
+                assert nth_terms(spec, indices) == tuple(nth_term(spec, n) for n in indices)
+
+    @given(long_words_st, st.lists(st.integers(1, 3000), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_nth_term(self, w, indices):
+        spec = _avoidance_spec(w)
+        assert nth_terms(spec, tuple(indices)) == tuple(nth_term(spec, n) for n in indices)
+
+    def test_rejects_index_below_one(self):
+        with pytest.raises(ValueError):
+            nth_terms(builtin_spec(Word("HH")), (3, 0))
 
 
 class TestAutomaton:

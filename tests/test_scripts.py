@@ -46,7 +46,9 @@ def test_bench_layers(tmp_path):
     for name in (
         "finite_gf at 1/2 essential words m=1..64", "closed_gf series(40) words k<=8",
         "verify tail-identities n<=64", "verify cdf-vs-partial-sum m<=64",
-        "verify normalization m<=200",
+        "verify normalization m<=200", "threshold HHHHHHHHHH q=1e-6",
+        "threshold HTHTHTHTHT q=1e-6", "threshold HTH q=1/10",
+        "threshold HHHHHHHHHHHHHHHHHHHH q=1/2 refusal",
     ):
         assert report["rows"][name]["current_ms"] > 0
     for workers in (1, 2):

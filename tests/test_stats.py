@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwords.counting import builtin_spec, counts, extend_counts
+from coinwords import stats
+from coinwords.counting import _denominator, builtin_spec, counts, extend_counts
 from coinwords.genfun import closed_gf, finite_gf
 from coinwords.stats import (
     DyadicRational,
@@ -346,6 +347,123 @@ class TestThresholdScan:
         w = Word("HHH")
         q = Fraction(1e-100)
         assert threshold(w, 1e-100) == fraction_scan_threshold(w, q)
+
+
+def integer_scan_threshold(w, q, limit=100_000):
+    """The integer scan that threshold ran before it jumped: one recurrence
+    step per n on b * q.denominator against q.numerator * 2**(n-1), keeping a
+    window of the last k values; None past the limit."""
+    q = Fraction(q)
+    spec = stats._avoidance_spec(w)
+    terms = [(-1 - i, c) for i, c in enumerate(spec.coefficients) if c]
+    window = [v * q.denominator for v in spec.initial_values]
+    bound = q.numerator
+    for n in itertools.count(1):
+        if n <= spec.order:
+            scaled = window[n - 1]
+        else:
+            scaled = 0
+            for i, c in terms:
+                scaled += c * window[i]
+            window.append(scaled)
+            del window[0]
+        if scaled <= bound:
+            return n
+        if n > limit:
+            return None
+        bound <<= 1
+
+
+JUMP_QS = ("1", "0.5", "1/3", "0.1", "999/1000", "1e-3", "1e-6")
+words_to_12_st = st.lists(st.sampled_from("HT"), min_size=1, max_size=12).map(
+    lambda ls: Word("".join(ls))
+)
+
+
+class TestThresholdJumps:
+    """The jumps from the decay model's guess against the integer scan they replaced."""
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_matches_integer_scan(self, length):
+        for w in all_words(length):
+            for text in JUMP_QS:
+                assert threshold(w, text) == integer_scan_threshold(w, text), f"{w} at q={text}"
+
+    @given(words_to_12_st, st.integers(min_value=0, max_value=30000), st.fractions(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_property_any_q_in_the_bracket(self, w, offset, t):
+        n = len(w) + 1 + offset % (30000 - len(w))
+        low, high = tail(w, n).as_fraction(), tail(w, n - 1).as_fraction()
+        q = low + t * (high - low)
+        if q == high:  # t = 1 lands on the bracket's open end
+            q = low
+        assert threshold(w, q) == n
+
+    @pytest.mark.parametrize("shift", [-40, 40])
+    def test_guess_off_by_40_gives_the_same_answers(self, monkeypatch, shift):
+        decay = stats._decay
+        moved = []
+
+        def off(w):
+            ln_a, ln_rate = decay(w)
+            moved.append(w)
+            return ln_a + shift * ln_rate, ln_rate
+
+        monkeypatch.setattr(stats, "_decay", off)
+        for letters in ALL_BUILTINS + LONG_WORDS:
+            w = Word(letters)
+            for text in ("0.5", "0.1", "1e-3", "1e-6"):
+                assert threshold(w, text) == integer_scan_threshold(w, text), f"{w} at q={text}"
+        assert len(moved) == 4 * len(ALL_BUILTINS + LONG_WORDS)
+
+    def test_q_below_float_range(self):
+        q = Fraction(1, 10**400)
+        assert float(q) == 0.0
+        assert threshold(Word("HHH"), q) == integer_scan_threshold(Word("HHH"), q) == 10998
+
+    def test_refusal_past_the_limit_takes_one_jump(self, monkeypatch):
+        jumps = []
+        exact = stats.nth_terms
+
+        def counted(spec, indices):
+            jumps.append(indices)
+            return exact(spec, indices)
+
+        monkeypatch.setattr(stats, "nth_terms", counted)
+        w = Word("H" * 20)
+        with pytest.raises(ValueError) as info:
+            threshold(w, Fraction(1, 2))
+        assert len(jumps) <= 2
+        assert str(w) in str(info.value) and "1/2" in str(info.value)
+        assert "n = 100000" in str(info.value)
+
+    @pytest.mark.parametrize("letters,text,n", [("HTH", "0.1", 21), ("HHH", "1e-100", 2752)])
+    def test_answer_is_given_up_to_one_past_the_limit(self, monkeypatch, letters, text, n):
+        w = Word(letters)
+        monkeypatch.setattr(stats, "_THRESHOLD_LIMIT", n - 1)
+        assert threshold(w, text) == n
+        monkeypatch.setattr(stats, "_THRESHOLD_LIMIT", n - 2)
+        with pytest.raises(ValueError, match=f"n = {n - 2}"):
+            threshold(w, text)
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_decay_model_matches_the_tail(self, length):
+        """r is a root of D, and A (2r)**-(n-1) is the exact tail far out."""
+        n = 60 << length
+        for w in all_words(length):
+            ln_a, ln_rate = stats._decay(w)
+            x = math.exp(ln_rate) / 2
+            den = _denominator(w)
+            if sum(den) == 0 and sum(i * d for i, d in enumerate(den)) == 0:
+                assert (str(w), ln_a) in (("HT", 0.0), ("TH", 0.0))  # double root at x = 1
+                assert x == pytest.approx(1.0, abs=1e-6)
+                continue
+            value = sum(d * x**i for i, d in enumerate(den))
+            slope = sum(i * d * x ** (i - 1) for i, d in enumerate(den))
+            assert abs(value) <= 1e-12 * abs(slope), w
+            b = tail(w, n)
+            ln_tail = math.log(b.numerator) - b.exponent * math.log(2)
+            assert ln_tail == pytest.approx(ln_a - (n - 1) * ln_rate, abs=1e-6), w
 
 
 class TestLandmarks:
