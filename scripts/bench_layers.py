@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline a1e0f8f --repeats 21   # writes BENCH_10.json
+    python scripts/bench_layers.py --baseline 8216a3a --repeats 21   # writes BENCH_11.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -55,7 +55,9 @@ def _cases() -> dict:
     from fractions import Fraction
 
     from coinwords import Word, verify
-    from coinwords.counting import ESSENTIAL_WORDS, automaton_counts, builtin_spec, extend_counts
+    from coinwords.counting import (
+        ESSENTIAL_WORDS, automaton_counts, builtin_spec, counts, extend_counts,
+    )
     from coinwords.genfun import closed_gf, finite_gf
     from coinwords.montecarlo import TrialConfig, run_trials
     from coinwords.stats import cdf, pmf, tail, threshold
@@ -66,6 +68,9 @@ def _cases() -> dict:
     cases = {
         "extend_counts HTH n=20000": lambda: extend_counts(builtin_spec(hth), 20000),
         "brute_force_count HTH n=22": lambda: brute_force_count(hth, 22),
+        "brute_force_count HT n=15": lambda: brute_force_count(Word("HT"), 15),
+        "brute_force_count HHTHTTHHTH n=20": lambda: brute_force_count(Word("HHTHTTHHTH"), 20),
+        "counts HTH n=14 engine=brute": lambda: counts(hth, 14, "brute"),
     }
     for w in (hth, long_word):
         cases[f"automaton_counts {w} n=20000"] = lambda w=w: automaton_counts(w, 20000)
@@ -95,6 +100,7 @@ def _cases() -> dict:
     cases["closed_gf series(40) words k<=8"] = lambda: [closed_gf(w).series(40) for w in short]
     cases["verify tail-identities n<=64"] = lambda: verify._check_tail_routes(64)
     cases["verify cdf-vs-partial-sum m<=64"] = lambda: verify._check_cdf_vs_partial_gf(64)
+    cases["verify engine-agreement n<=20"] = lambda: verify._check_engine_agreement(20)
     slack = Fraction(1, 10**6)
     cases["verify normalization m<=200"] = lambda: verify._check_normalization(200, slack)
     cases["verify quick"] = lambda: verify.run_checks("quick")
@@ -219,7 +225,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_10.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_11.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

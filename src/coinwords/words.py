@@ -3,7 +3,9 @@
 Outcome strings (full toss records) are plain ``str`` values over the same
 alphabet.  The enumeration oracle iterates outcomes as integers with H = bit 1
 and T = bit 0, first toss in the most significant position, so substring
-tests reduce to shifts and masks.
+tests reduce to shifts and masks.  A record in which a word first appears at
+the last toss ends in that word, so the oracle enumerates only those records:
+every prefix of the other n - k tosses, followed by the word's k letters.
 """
 
 import itertools
@@ -26,7 +28,7 @@ DEFAULT_ENUMERATION_CAP = 24
 ENUMERATION_CAP_ENV = "COINWORDS_ENUM_CAP"
 
 _COMPLEMENT = str.maketrans("HT", "TH")
-_CHUNK = 1 << 22  # outcome integers per numpy block
+_CHUNK = 1 << 22  # prefixes per numpy block
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,10 +111,11 @@ def enumeration_cap() -> int:
 def brute_force_count(w: Word, n: int, cap: int | None = None) -> int:
     """Count length-``n`` outcome strings whose first occurrence of ``w`` ends at toss ``n``.
 
-    Enumerates all 2**n outcomes as integers in fixed-size numpy blocks.  The
-    result is independent of the block partitioning, and this path is kept
-    deliberately independent of the recurrence and automaton engines so it can
-    serve as their oracle.
+    Enumerates the 2**(n - k) outcomes that end in ``w`` (k = len(w)) as
+    integers, in numpy blocks of at most ``_CHUNK`` prefixes, and counts those
+    in which no earlier window equals ``w``.  The result is independent of the
+    block partitioning, and this path is kept deliberately independent of the
+    recurrence and automaton engines so it can serve as their oracle.
     """
     if n < 1:
         raise ValueError(f"toss count must be >= 1, got {n}")
@@ -132,14 +135,18 @@ def brute_force_count(w: Word, n: int, cap: int | None = None) -> int:
         return 0
     wbits = w.bits()
     mask = (1 << size) - 1
+    prefixes = 1 << (n - size)
     total = 0
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        xs = np.arange(lo, hi, dtype=np.int64)
-        ok = (xs & mask) == wbits
+    for lo in range(0, prefixes, _CHUNK):
+        hi = min(lo + _CHUNK, prefixes)
+        xs = (np.arange(lo, hi, dtype=np.int64) << size) | wbits
+        win = np.empty_like(xs)
+        ok = np.ones(hi - lo, dtype=bool)
         # window ending at toss p < n sits at shift n - p
         for shift in range(1, n - size + 1):
-            ok &= ((xs >> shift) & mask) != wbits
+            np.right_shift(xs, shift, out=win)
+            np.bitwise_and(win, mask, out=win)
+            ok &= win != wbits
         total += int(np.count_nonzero(ok))
     return total
 

@@ -302,7 +302,72 @@ class TestVerifyCommand:
             assert r["passed"] is True and r["seconds"] > 0
 
 
+def reference_normalization(m_max, slack):
+    """The normalization check built on one Fraction per term, as a test-local
+    oracle for verify's integer version: same verdicts, same details."""
+    for w in verify.ESSENTIAL_WORDS:
+        avoid = verify.extend_counts(stats._avoidance_spec(w), m_max + 1)
+        stepped = [Fraction((1 << m) - b, 1 << m) for m, b in enumerate(avoid.values)]
+        jumped = verify.cdf(w, m_max)
+        if jumped != stepped[m_max]:
+            return False, (
+                f"{w} at m={m_max}: jump-ahead gives {jumped}, "
+                f"term-by-term gives {stepped[m_max]}"
+            )
+        for m in range(1, m_max + 1):
+            if stepped[m] < stepped[m - 1] or stepped[m] > 1:
+                return False, f"{w} at m={m}"
+        if stepped[m_max] < 1 - slack:
+            return False, f"{w}: cdf({m_max}) = {float(stepped[m_max])}"
+    return True, f"cdf nondecreasing, <= 1, and >= 1 - {float(slack):g} by m = {m_max}"
+
+
 class TestNegativeControl:
+    SLACK = Fraction(1, 10**6)
+
+    def test_normalization_matches_fraction_reference(self):
+        tight = Fraction(1, 10**80)  # HT's b(200)/2**200 is ~1e-58
+        check = verify._check_normalization
+        assert check(200, self.SLACK) == reference_normalization(200, self.SLACK)
+        assert check(200, tight) == reference_normalization(200, tight)
+        assert check(200, tight) == (False, "HT: cdf(200) = 1.0")
+
+    def test_broken_cdf_fails_normalization_with_the_same_detail(self, monkeypatch):
+        monkeypatch.setattr(verify, "cdf", lambda w, m: stats.DyadicRational(0, 0))
+        passed, detail = verify._check_normalization(200, self.SLACK)
+        assert (passed, detail) == reference_normalization(200, self.SLACK)
+        b = verify.extend_counts(stats._avoidance_spec(Word("HT")), 201).at(201)
+        assert detail == (
+            f"HT at m=200: jump-ahead gives 0, term-by-term gives "
+            f"{Fraction(2**200 - b, 2**200)}"
+        )
+
+    @pytest.mark.parametrize(
+        "index, value, detail",
+        [
+            (50, lambda b: 2 * b[49] + 1, "HT at m=50"),  # cdf falls at m = 50
+            (100, lambda b: -1, "HT at m=100"),  # cdf above 1
+            (200, lambda b: 2**200 + 1, None),  # cdf(200) negative: the jump disagrees
+        ],
+    )
+    def test_broken_avoidance_counts_fail_normalization_as_before(
+        self, monkeypatch, index, value, detail
+    ):
+        exact = verify.extend_counts
+
+        def corrupted(spec, n_max):
+            seq = exact(spec, n_max)
+            values = list(seq.values)
+            values[index] = value(values)
+            return CountSequence(word=seq.word, values=tuple(values))
+
+        monkeypatch.setattr(verify, "extend_counts", corrupted)
+        result = verify._check_normalization(200, self.SLACK)
+        assert result == reference_normalization(200, self.SLACK)
+        assert not result[0]
+        if detail is not None:
+            assert result[1] == detail
+
     def test_corrupted_recurrence_fails_named_checks(self, monkeypatch):
         broken = RecurrenceSpec(
             order=2, coefficients=(1, 2), initial_values=(0, 1), word=Word("HH")

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinwords import words
+from coinwords.counting import automaton_counts
 from coinwords.words import (
     DEFAULT_ENUMERATION_CAP,
     ENUMERATION_CAP_ENV,
@@ -88,6 +90,23 @@ class TestBruteForce:
         w = Word(letters)
         for n in range(1, 11):
             assert brute_force_count(w, n) == enumerate_count(w, n)
+
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_matches_automaton_for_every_short_word(self, length):
+        # n runs from below the word's length (no candidates) through n = k
+        # (the word alone) to 2**(16 - k) candidates.
+        for w in all_words(length):
+            auto = automaton_counts(w, 16)
+            assert [brute_force_count(w, n) for n in range(1, 17)] == list(auto.values), w
+
+    def test_small_chunks_give_the_same_counts(self, monkeypatch):
+        expected = {
+            (w, n): brute_force_count(w, n)
+            for w in map(Word, ("H", "HT", "HTH", "HHTH"))
+            for n in range(12, 17)
+        }
+        monkeypatch.setattr(words, "_CHUNK", 8)  # 2**(n - k) / 8 prefix blocks each
+        assert {key: brute_force_count(*key) for key in expected} == expected
 
     def test_rejects_above_cap(self):
         with pytest.raises(ValueError, match="enumeration cap"):
