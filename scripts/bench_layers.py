@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline 8216a3a --repeats 21   # writes BENCH_11.json
+    python scripts/bench_layers.py --baseline f02868f --repeats 21   # writes BENCH_12.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -76,6 +76,8 @@ def _cases() -> dict:
         cases[f"automaton_counts {w} n=20000"] = lambda w=w: automaton_counts(w, 20000)
         for f in (pmf, tail, cdf):
             cases[f"{f.__name__} {w} n=20000"] = lambda f=f, w=w: f(w, 20000)
+        cases[f"tail {w} n=64"] = lambda w=w: tail(w, 64)  # verify's range
+    cases["cdf HTH m=2"] = lambda: cdf(hth, 2)  # a term below the word's length
     for letters in ("HHH", "HTH"):
         cases[f"threshold {letters} q=1e-100"] = lambda w=Word(letters): threshold(w, deep)
     for letters in ("HHHHHHHHHH", "HTHTHTHTHT"):
@@ -225,7 +227,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_11.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_12.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

@@ -18,7 +18,7 @@ def main() -> None:
     for w in ESSENTIAL_WORDS:
         spec = builtin_spec(w)
         seq = extend_counts(spec, 15)
-        coeffs = ",".join(f"{c:>2d}" for c in spec.coefficients)
+        coeffs = ",".join(f"{-d:>2d}" for d in spec.den[1:])
         print(f"{w!s:<4} [{coeffs}]  {', '.join(map(str, seq.values))}")
 
     print("\n== waiting-time moments ==")

@@ -86,9 +86,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = []
     for letters in TABLE_WORDS:
         w = Word(letters)
-        spec = builtin_spec(w)
+        coeffs = (-d for d in builtin_spec(w).den[1:])  # a(n) = A a(n-1) + B a(n-2) + C a(n-3)
         seq = counts(w, 15, engine="recurrence")
-        rows.append([letters, *map(str, spec.coefficients), *map(str, seq.values)])
+        rows.append([letters, *map(str, coeffs), *map(str, seq.values)])
     if args.format == "csv":
         print(",".join(header))
         for row in rows:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import _denominator, builtin_spec, extend_counts
+from .counting import builtin_spec, extend_counts
 from .words import Word
 
 __all__ = [
@@ -106,7 +106,7 @@ def solve_denominator(w: Word, probe: int = DEFAULT_CERTIFY_PROBE) -> ClosedForm
     partial fractions need simple roots) and raise.
     """
     k = len(w)
-    den = _denominator(w)
+    den = builtin_spec(w).den
     quot, unit = den, 0
     while sum(quot) == 0:  # D(1) = 0: divide by x - 1, exactly
         quot = tuple(-s for s in itertools.accumulate(quot))[:-1]

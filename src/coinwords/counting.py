@@ -1,14 +1,17 @@
 """Exact integer sequences a(n) of first-occurrence counts.
 
 a(n) is the number of length-n toss records whose first occurrence of a
-pattern ends at toss n.  Every pattern of length k has a linear recurrence
-of order k read off its autocorrelation polynomial c(x) = sum x**i over the
-shifts i at which the pattern overlaps itself (i = 0 always counts): the
-counts are the Taylor coefficients of x**k / D(x) with
+pattern ends at toss n.  Every sequence here is the Taylor series of a
+numerator over one denominator, read off the pattern's autocorrelation
+polynomial c(x) = sum x**i over the shifts i at which the pattern overlaps
+itself (i = 0 always counts):
 
     D(x) = x**k + (1 - 2x) c(x)        (Guibas & Odlyzko, JCTA 1981)
 
-and D(0) = 1.  ``extend_counts`` runs a recurrence term by term;
+with D(0) = 1.  The counts a(n) are the coefficients of x**k / D(x), and
+the numbers b(m) of length-m records that avoid the pattern those of
+c(x) / D(x).  A ``RecurrenceSpec`` is such a fraction, and D is known only
+to this module.  ``extend_counts`` runs the fraction term by term;
 ``nth_term`` jumps to a single term with Bostan and Mori's algorithm ("A
 simple and fast algorithm for computing the N-th term of a linearly
 recurrent sequence", SOSA 2021) in O(log n) products of degree-k
@@ -55,20 +58,21 @@ def _denominator(w: Word) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """Linear recurrence a(n) = sum(coefficients[i] * a(n-1-i)), seeded by initial_values."""
+    """The generating fraction num(x)/den(x): term n >= 1 is its x**(n-1) coefficient.
 
-    order: int
-    coefficients: tuple[int, ...]
-    initial_values: tuple[int, ...]
+    den[0] = 1, so the terms obey the linear recurrence
+    t(n) = num[n-1] - sum(den[j] * t(n-j) for j >= 1), with t(n) = 0 for n < 1.
+    """
+
+    num: tuple[int, ...]
+    den: tuple[int, ...]
     word: Word | None = None
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"recurrence order must be >= 1, got {self.order}")
-        if len(self.coefficients) != self.order:
-            raise ValueError("need exactly one coefficient per order")
-        if len(self.initial_values) != self.order:
-            raise ValueError("need exactly one initial value per order")
+        if not self.den or self.den[0] != 1:
+            raise ValueError(f"denominator must have constant term 1, got {self.den}")
+        if not any(self.den[1:]):
+            raise ValueError(f"denominator must have degree >= 1, got {self.den}")
 
 
 @dataclass(frozen=True)
@@ -94,28 +98,32 @@ class CountSequence:
 
 
 def builtin_spec(w: Word) -> RecurrenceSpec:
-    """The order-k recurrence of ``w`` read off D(x).
+    """The first-occurrence counts of ``w`` as x**(k-1) / D(x), so a(n) is term n.
 
-    Coefficients are -D_1..-D_k and the initial values are a(1..k) =
-    (0, ..., 0, 1).  Complement pairs share one spec, since overlaps are
-    invariant under swapping H and T.
+    Complement pairs share one fraction, since overlaps are invariant under
+    swapping H and T.
     """
-    k = len(w)
-    coeffs = tuple(-d for d in _denominator(w)[1:])
-    return RecurrenceSpec(
-        order=k, coefficients=coeffs, initial_values=(0,) * (k - 1) + (1,), word=w
-    )
+    return RecurrenceSpec((0,) * (len(w) - 1) + (1,), _denominator(w), w)
+
+
+def _avoidance_spec(w: Word) -> RecurrenceSpec:
+    """b(m), the length-m records that avoid ``w``, as term m + 1 of c(x) / D(x)."""
+    shifts = _overlaps(w)
+    return RecurrenceSpec(tuple(int(i in shifts) for i in range(len(w))), _denominator(w))
 
 
 def extend_counts(spec: RecurrenceSpec, n_max: int) -> CountSequence:
-    """Run the recurrence out to ``n_max`` terms, exactly."""
+    """Run the fraction out to ``n_max`` terms, exactly."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    values = list(spec.initial_values[:n_max])
-    terms = [(-1 - i, c) for i, c in enumerate(spec.coefficients) if c]
-    for _ in range(len(values), n_max):
+    num, pad = spec.num[:n_max], len(spec.den) - 1
+    terms = [(-j, -d) for j, d in enumerate(spec.den) if j and d]
+    values = [0] * pad  # the zero terms below x**0
+    for p in num:
+        values.append(p + sum(c * values[i] for i, c in terms))
+    for _ in range(len(num), n_max):
         values.append(sum(c * values[i] for i, c in terms))
-    return CountSequence(word=spec.word, values=tuple(values))
+    return CountSequence(word=spec.word, values=tuple(values[pad:]))
 
 
 def _half_product(a: list[int], b: list[int], parity: int) -> list[int]:
@@ -132,30 +140,18 @@ def _half_product(a: list[int], b: list[int], parity: int) -> list[int]:
     return out
 
 
-def _generating_fraction(spec: RecurrenceSpec) -> tuple[list[int], list[int]]:
-    """(P, Q) with the terms from n = 1 on the Taylor coefficients of P(x)/Q(x).
-
-    Q(x) = 1 - sum c_i x**(i+1) and P = (Q * sum init_i x**i) mod x**k.
-    """
-    den = [1] + [-c for c in spec.coefficients]
-    init = spec.initial_values
-    return [sum(den[j] * init[i - j] for j in range(i + 1)) for i in range(spec.order)], den
-
-
 def nth_term(spec: RecurrenceSpec, n: int) -> int:
     """The n-th term of ``spec`` alone, equal to ``extend_counts(spec, n).at(n)``.
 
-    Bostan-Mori multiplies both halves of the generating fraction P(x)/Q(x)
-    by Q(-x), which leaves an even denominator, and keeps the half of the
+    Bostan-Mori multiplies both halves of the fraction num(x)/den(x) by
+    den(-x), which leaves an even denominator, and keeps the half of the
     numerator whose parity matches the index; each round halves the index.
     That is O(log n) integer products of degree-k polynomials whose
     coefficients grow to O(n) bits.
     """
     if n < 1:
         raise ValueError(f"term index must be >= 1, got {n}")
-    if n <= spec.order:
-        return spec.initial_values[n - 1]
-    num, den = _generating_fraction(spec)
+    num, den = list(spec.num) or [0], list(spec.den)
     index = n - 1
     while index:
         num = _half_product(num, den, index & 1)
@@ -167,17 +163,16 @@ def nth_term(spec: RecurrenceSpec, n: int) -> int:
 def nth_terms(spec: RecurrenceSpec, indices: tuple[int, ...]) -> tuple[int, ...]:
     """``nth_term`` at each of ``indices``, the jumps sharing one denominator chain.
 
-    The chain Q(x), Q(x)Q(-x), ... does not depend on the index; only how
-    far it runs does (the bit length of the index).  So each further index
-    costs one numerator product per round: two neighbouring terms take three
-    products per round instead of four.
+    The chain den(x), den(x)den(-x), ... does not depend on the index; only
+    how far it runs does (the bit length of the index).  So each further
+    index costs one numerator product per round: two neighbouring terms take
+    three products per round instead of four.
     """
     if min(indices) < 1:
         raise ValueError(f"term index must be >= 1, got {min(indices)}")
-    init = spec.initial_values
-    num, den = _generating_fraction(spec)
-    out = [init[n - 1] if n <= spec.order else 0 for n in indices]
-    live = [(i, n - 1, num) for i, n in enumerate(indices) if n > spec.order]
+    num, den = list(spec.num), list(spec.den)
+    out = [0] * len(indices)
+    live = [(i, n - 1, num) for i, n in enumerate(indices)]
     while live:
         rest = []
         for i, index, part in live:

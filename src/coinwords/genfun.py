@@ -173,13 +173,14 @@ def closed_gf(w: Word) -> RationalFunction:
     """Closed rational form x**k / D(x) whose Taylor coefficients at 0 are a(n).
 
     Written as (-x**k) / (-D(x)), so the denominator is
-    -1 + A x + B x**2 + ... with (A, B, ...) the recurrence coefficients of
-    ``builtin_spec``.  The numerator is a power of x and D(0) = 1, so the form
-    is always in lowest terms.  Complements share one form.
+    -1 + A x + B x**2 + ... with (A, B, ...) the recurrence coefficients
+    a(n) = A a(n-1) + B a(n-2) + ....  The numerator is a power of x and
+    D(0) = 1, so the form is always in lowest terms.  Complements share one
+    form.
     """
-    spec = builtin_spec(w)
+    den = builtin_spec(w).den
     return RationalFunction(
-        Polynomial.monomial(spec.order, -1), Polynomial((-1, *spec.coefficients))
+        Polynomial.monomial(len(w), -1), Polynomial(tuple(-d for d in den))
     )
 
 
@@ -187,19 +188,17 @@ def truncation_remainder(w: Word, m: int) -> Polynomial:
     """The remainder polynomial R_m with finite_gf(w, m) * den == num * (1 - R_m).
 
     The dropped tail sum(a(n) x**n for n > m) times D(x) is x**k R_m, and the
-    recurrence cancels every power past x**(m+k).  With D_0 = 1 and D_i the
-    negated ``builtin_spec`` coefficients, that leaves
+    recurrence cancels every power past x**(m+k).  With D_0 = 1, that leaves
     R_m = x**(m+1-k) * sum(sum(D_i a(m+j-i) for i < j) x**(j-1) for j = 1..k),
     defined for m >= max(1, k - 1).
     """
-    spec = builtin_spec(w)
-    k = spec.order
+    k = len(w)
     lowest = max(1, k - 1)
     if m < lowest:
         raise ValueError(
             f"truncation remainder of a length-{k} word needs m >= {lowest}, got {m}"
         )
-    den = (1, *(-c for c in spec.coefficients))
+    spec = builtin_spec(w)
     seq = extend_counts(spec, m + k)
-    top = [sum(den[i] * seq.at(m + j - i) for i in range(j)) for j in range(1, k + 1)]
+    top = [sum(spec.den[i] * seq.at(m + j - i) for i in range(j)) for j in range(1, k + 1)]
     return Polynomial((0,) * (m + 1 - k) + tuple(top))

@@ -22,7 +22,7 @@ from functools import total_ordering
 from fractions import Fraction
 
 from .counting import (
-    RecurrenceSpec,
+    _avoidance_spec,
     _overlaps,
     builtin_spec,
     counts,
@@ -111,21 +111,6 @@ class WordStats:
     mean: Fraction
     variance: Fraction
     stddev: float
-
-
-def _avoidance_spec(w: Word) -> RecurrenceSpec:
-    """b(m), the length-m records that avoid ``w``, as terms m + 1 of a spec.
-
-    b is the coefficient sequence of c(x)/D(x), so it runs on the same
-    recurrence as the first-occurrence counts, seeded with b(m) = 2**m for
-    m < k.
-    """
-    spec = builtin_spec(w)
-    return RecurrenceSpec(
-        order=spec.order,
-        coefficients=spec.coefficients,
-        initial_values=tuple(1 << m for m in range(spec.order)),
-    )
 
 
 def pmf(w: Word, n: int) -> DyadicRational:
@@ -261,7 +246,7 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
         x, y = b * q.denominator, q.numerator << (n - 1)
         return x > y, aim(n, _ln_ratio(x, y))
 
-    lo, hi, n = spec.order, limit, aim(1, ln_a - ln_q)  # tail(lo) = 1 > q
+    lo, hi, n = len(w), limit, aim(1, ln_a - ln_q)  # tail(lo) = 1 > q
     while True:
         n = min(max(n, lo + 1), hi)
         before, at = nth_terms(spec, (n - 1, n))

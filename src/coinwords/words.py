@@ -122,9 +122,10 @@ def brute_force_count(w: Word, n: int, cap: int | None = None) -> int:
     if cap is None:
         cap = enumeration_cap()
     if n > cap:
+        ending = f"the 2**{n - len(w)}" if n >= len(w) else "no"
         raise ValueError(
-            f"toss count {n} exceeds the enumeration cap {cap}; raise it "
-            f"explicitly or via {ENUMERATION_CAP_ENV} to enumerate 2**{n} strings"
+            f"toss count {n} exceeds the enumeration cap {cap}; raise it explicitly or "
+            f"via {ENUMERATION_CAP_ENV} to enumerate {ending} strings that end in {w}"
         )
     if n > 62:
         raise ValueError("enumeration beyond 62 tosses is not supported")

@@ -369,9 +369,7 @@ class TestNegativeControl:
             assert result[1] == detail
 
     def test_corrupted_recurrence_fails_named_checks(self, monkeypatch):
-        broken = RecurrenceSpec(
-            order=2, coefficients=(1, 2), initial_values=(0, 1), word=Word("HH")
-        )
+        broken = RecurrenceSpec((0, 1), (1, -1, -2), Word("HH"))  # a(n) = a(n-1) + 2 a(n-2)
         exact = verify.builtin_spec
         monkeypatch.setattr(
             verify, "builtin_spec", lambda w: broken if w.letters == "HH" else exact(w)
@@ -408,6 +406,20 @@ class TestNegativeControl:
         results = {r.name: r for r in run_checks(depth="quick")}
         assert not results["tail-identities"].passed
         assert "at n=31" in results["tail-identities"].detail
+
+    def test_wrong_avoidance_spec_fails_tail_identities(self, monkeypatch):
+        # HH given HT's avoidance counts b(m) = m + 1: the jump and the steps
+        # agree with each other, so only the automaton can catch it.
+        wrong, exact = stats._avoidance_spec(Word("HT")), stats._avoidance_spec
+
+        def patched(w):
+            return wrong if w.letters == "HH" else exact(w)
+
+        monkeypatch.setattr(stats, "_avoidance_spec", patched)
+        monkeypatch.setattr(verify, "_avoidance_spec", patched)
+        passed, detail = verify._check_tail_routes(64)
+        assert not passed
+        assert detail == "HH at n=4: the automaton gives b(3) = 5, term-by-term gives 4"
 
 
 class TestExitCodes:

@@ -7,6 +7,7 @@ from coinwords.counting import (
     ESSENTIAL_WORDS,
     CountSequence,
     RecurrenceSpec,
+    _avoidance_spec,
     automaton_counts,
     builtin_spec,
     counts,
@@ -15,7 +16,6 @@ from coinwords.counting import (
     nth_terms,
     transition_table,
 )
-from coinwords.stats import _avoidance_spec
 from coinwords.words import Word, all_words, brute_force_count
 
 # First 15 terms for the length-3 patterns, frozen from the reference tables.
@@ -55,26 +55,44 @@ class TestBuiltinSpec:
         ],
     )
     def test_table(self, letters, coeffs, init):
+        # a(n) = sum(coeffs[i] * a(n-1-i)) from a(1..k) = init = (0, ..., 0, 1):
+        # the fraction x**(k-1) / (1 - sum(coeffs[i] * x**(i+1))).
         spec = builtin_spec(Word(letters))
-        assert spec.coefficients == coeffs
-        assert spec.initial_values == init
-        assert spec.order == len(coeffs)
+        assert spec.den == (1, *(-c for c in coeffs))
+        assert spec.num == init
+        assert extend_counts(spec, len(init)).values == init
 
     @pytest.mark.parametrize("length", range(1, 9))
     def test_every_word_matches_automaton_to_60(self, length):
         for w in all_words(length):
             spec = builtin_spec(w)
-            assert spec.order == length
+            assert len(spec.den) - 1 == length and spec.word == w
             assert extend_counts(spec, 60).values == automaton_counts(w, 60).values, w
 
     def test_single_letter_first_occurs_once_per_length(self):
         assert extend_counts(builtin_spec(Word("H")), 6).values == (1,) * 6
 
     def test_spec_shape_validation(self):
-        with pytest.raises(ValueError):
-            RecurrenceSpec(order=2, coefficients=(1,), initial_values=(0, 1))
-        with pytest.raises(ValueError):
-            RecurrenceSpec(order=2, coefficients=(1, 1), initial_values=(0,))
+        for den in ((), (2, -1), (0, 1), (1,), (1, 0, 0)):
+            with pytest.raises(ValueError, match="denominator"):
+                RecurrenceSpec((0, 1), den)
+        zero = RecurrenceSpec((), (1, 0, -1))  # the zero numerator is a valid fraction
+        assert extend_counts(zero, 3).values == (0, 0, 0)
+        assert nth_term(zero, 1) == nth_term(zero, 5) == 0 and nth_terms(zero, (1, 2)) == (0, 0)
+
+
+class TestAvoidanceSpec:
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_every_word_matches_automaton_to_60(self, length):
+        # A length-m record avoids w unless w first ends at toss m:
+        # b(m) = 2 b(m-1) - a(m) from b(0) = 1, with a from the automaton.
+        for w in all_words(length):
+            expected = [1]
+            for a in automaton_counts(w, 59).values:
+                expected.append(2 * expected[-1] - a)
+            spec = _avoidance_spec(w)
+            assert extend_counts(spec, 60).values == tuple(expected), w
+            assert spec.den == builtin_spec(w).den
 
 
 class TestExtendCounts:
@@ -120,9 +138,26 @@ class TestNthTerm:
         assert nth_term(spec, n) == extend_counts(spec, n).at(n)
 
     def test_general_spec(self):
-        spec = RecurrenceSpec(order=2, coefficients=(1, 1), initial_values=(2, 1))
+        spec = RecurrenceSpec((2, -1), (1, -1, -1))  # the Lucas numbers, (2 - x)/(1 - x - x**2)
         lucas = (2, 1, 3, 4, 7, 11, 18, 29, 47, 76)
         assert tuple(nth_term(spec, n) for n in range(1, 11)) == lucas
+        assert extend_counts(spec, 10).values == lucas
+
+    @pytest.mark.parametrize(
+        "num, den, series",
+        [
+            # partial sums 1, 1+2, 1+2+3, 1+2+3+4, then constant
+            ((1, 2, 3, 4), (1, -1), (1, 3, 6, 10, 10, 10, 10, 10)),
+            # c(i) = num[i] + c(i-1) + c(i-2)
+            ((1, 2, 3, 4, 5), (1, -1, -1), (1, 3, 7, 14, 26, 40, 66, 106)),
+        ],
+    )
+    def test_numerator_longer_than_denominator_degree(self, num, den, series):
+        spec = RecurrenceSpec(num, den)
+        assert extend_counts(spec, len(series)).values == series
+        assert extend_counts(spec, 2).values == series[:2]
+        assert tuple(nth_term(spec, n) for n in range(1, len(series) + 1)) == series
+        assert nth_terms(spec, tuple(range(1, len(series) + 1))) == series
 
     def test_rejects_index_below_one(self):
         with pytest.raises(ValueError):

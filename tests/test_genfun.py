@@ -267,7 +267,7 @@ class TestTruncationIdentity:
     def test_length_three_explicit_form(self, letters):
         # R_m = a(m+1) x^(m-2) + (B a(m) + C a(m-1)) x^(m-1) + C a(m) x^m
         w = Word(letters)
-        _, b, c = builtin_spec(w).coefficients
+        _, b, c = (-d for d in builtin_spec(w).den[1:])
         a = (0, *counts(w, 13).values)
         for m in range(2, 13):
             expected = Polynomial(

@@ -51,6 +51,7 @@ def test_bench_layers(tmp_path):
         "threshold HHHHHHHHHHHHHHHHHHHH q=1/2 refusal",
         "brute_force_count HT n=15", "brute_force_count HHTHTTHHTH n=20",
         "counts HTH n=14 engine=brute", "verify engine-agreement n<=20",
+        "tail HTH n=64", "tail HTHTTHHTHT n=64", "cdf HTH m=2",
     ):
         assert report["rows"][name]["current_ms"] > 0
     for workers in (1, 2):

@@ -355,18 +355,15 @@ def integer_scan_threshold(w, q, limit=100_000):
     window of the last k values; None past the limit."""
     q = Fraction(q)
     spec = stats._avoidance_spec(w)
-    terms = [(-1 - i, c) for i, c in enumerate(spec.coefficients) if c]
-    window = [v * q.denominator for v in spec.initial_values]
+    terms = [(-j, -d) for j, d in enumerate(spec.den) if j and d]
+    window = [0] * (len(spec.den) - 1)  # the zero terms below x**0
     bound = q.numerator
     for n in itertools.count(1):
-        if n <= spec.order:
-            scaled = window[n - 1]
-        else:
-            scaled = 0
-            for i, c in terms:
-                scaled += c * window[i]
-            window.append(scaled)
-            del window[0]
+        scaled = sum(c * window[i] for i, c in terms)
+        if n <= len(spec.num):
+            scaled += spec.num[n - 1] * q.denominator
+        window.append(scaled)
+        del window[0]
         if scaled <= bound:
             return n
         if n > limit:

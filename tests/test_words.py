@@ -117,6 +117,12 @@ class TestBruteForce:
             brute_force_count(Word("HH"), 6, cap=5)
         assert brute_force_count(Word("HH"), 6, cap=6) == 5
 
+    def test_cap_refusal_names_the_strings_it_would_enumerate(self):
+        with pytest.raises(ValueError, match=r"the 2\*\*7 strings that end in HTH$"):
+            brute_force_count(Word("HTH"), 10, cap=5)
+        with pytest.raises(ValueError, match="enumerate no strings that end in HTHTHT$"):
+            brute_force_count(Word("HTHTHT"), 4, cap=3)
+
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             brute_force_count(Word("HH"), 0)
