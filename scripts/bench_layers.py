@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline f02868f --repeats 21   # writes BENCH_12.json
+    python scripts/bench_layers.py --baseline a205a9f --repeats 21   # writes BENCH_13.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -86,6 +86,9 @@ def _cases() -> dict:
     cases["threshold HHHHHHHHHHHHHHHHHHHH q=1/2 refusal"] = lambda: _refused(
         threshold, Word("H" * 20), Fraction(1, 2)
     )
+    cases["threshold H T^63 q=1/2 refusal"] = lambda: _refused(
+        threshold, Word("H" + "T" * 63), Fraction(1, 2)
+    )
     for cap in (512, 8192):
         cfg = TrialConfig(word=Word("HTHH"), trials=65536, seed=1, max_tosses_per_trial=cap)
         cases[f"run_trials HTHH 65536 trials cap={cap}"] = lambda cfg=cfg: run_trials(cfg)
@@ -114,6 +117,7 @@ def _cases() -> dict:
 COLD = {
     "cold import coinwords": ("-c", "import coinwords"),
     "cold counts HTHT 20": ("-m", "coinwords.cli", "counts", "HTHT", "20"),
+    "cold counts HTH 40 csv": ("-m", "coinwords.cli", "counts", "HTH", "40", "--format", "csv"),
     "cold tail HTH 22": ("-m", "coinwords.cli", "tail", "HTH", "22"),
     "cold threshold HHH 1e-100": ("-m", "coinwords.cli", "threshold", "HHH", "1e-100"),
     "cold stats HTHT": ("-m", "coinwords.cli", "stats", "HTHT"),
@@ -227,7 +231,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_12.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_13.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

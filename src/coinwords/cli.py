@@ -13,7 +13,7 @@ from fractions import Fraction
 
 # montecarlo and verify load numpy, so only the commands that use them import them.
 from . import genfun, stats
-from .counting import CountSequence, builtin_spec, counts
+from .counting import builtin_spec, counts
 from .words import Word, parse_word
 
 __all__ = ["build_parser", "main"]
@@ -67,15 +67,13 @@ class _UsageError(Exception):
     pass
 
 
-def _print_counts_csv(seq: CountSequence) -> None:
-    sys.stdout.write(seq.to_csv())
-
-
 def _cmd_counts(args: argparse.Namespace) -> int:
     w, n_max = _word_and_value(args, "--n-max", "a toss count", integer=True)
     seq = counts(w, n_max, engine=args.engine)
     if args.format == "csv":
-        _print_counts_csv(seq)
+        print("n,a_W(n)")
+        for n, v in enumerate(seq.values, start=1):
+            print(f"{n},{v}")
     else:
         print(", ".join(str(v) for v in seq.values))
     return 0

@@ -62,11 +62,11 @@ class RecurrenceSpec:
 
     den[0] = 1, so the terms obey the linear recurrence
     t(n) = num[n-1] - sum(den[j] * t(n-j) for j >= 1), with t(n) = 0 for n < 1.
+    A spec names no word, since complement words share one fraction.
     """
 
     num: tuple[int, ...]
     den: tuple[int, ...]
-    word: Word | None = None
 
     def __post_init__(self) -> None:
         if not self.den or self.den[0] != 1:
@@ -77,9 +77,8 @@ class RecurrenceSpec:
 
 @dataclass(frozen=True)
 class CountSequence:
-    """First-occurrence counts indexed from n = 1."""
+    """The terms of a sequence, indexed from n = 1."""
 
-    word: Word | None
     values: tuple[int, ...]
 
     def at(self, n: int) -> int:
@@ -91,11 +90,6 @@ class CountSequence:
     def __len__(self) -> int:
         return len(self.values)
 
-    def to_csv(self) -> str:
-        lines = ["n,a_W(n)"]
-        lines.extend(f"{n},{v}" for n, v in enumerate(self.values, start=1))
-        return "\n".join(lines) + "\n"
-
 
 def builtin_spec(w: Word) -> RecurrenceSpec:
     """The first-occurrence counts of ``w`` as x**(k-1) / D(x), so a(n) is term n.
@@ -103,7 +97,7 @@ def builtin_spec(w: Word) -> RecurrenceSpec:
     Complement pairs share one fraction, since overlaps are invariant under
     swapping H and T.
     """
-    return RecurrenceSpec((0,) * (len(w) - 1) + (1,), _denominator(w), w)
+    return RecurrenceSpec((0,) * (len(w) - 1) + (1,), _denominator(w))
 
 
 def _avoidance_spec(w: Word) -> RecurrenceSpec:
@@ -123,7 +117,7 @@ def extend_counts(spec: RecurrenceSpec, n_max: int) -> CountSequence:
         values.append(p + sum(c * values[i] for i, c in terms))
     for _ in range(len(num), n_max):
         values.append(sum(c * values[i] for i, c in terms))
-    return CountSequence(word=spec.word, values=tuple(values[pad:]))
+    return CountSequence(tuple(values[pad:]))
 
 
 def _half_product(a: list[int], b: list[int], parity: int) -> list[int]:
@@ -242,7 +236,7 @@ def automaton_counts(w: Word, n_max: int) -> CountSequence:
                     nxt[t] += cnt
         values.append(completed)
         state_counts = nxt
-    return CountSequence(word=w, values=tuple(values))
+    return CountSequence(tuple(values))
 
 
 def counts(w: Word, n_max: int, engine: str = "auto") -> CountSequence:
@@ -265,7 +259,7 @@ def counts(w: Word, n_max: int, engine: str = "auto") -> CountSequence:
                 f"raise {ENUMERATION_CAP_ENV} or use another engine"
             )
         values = tuple(brute_force_count(w, n) for n in range(1, n_max + 1))
-        return CountSequence(word=w, values=values)
+        return CountSequence(values)
     raise ValueError(
         f"unknown engine {engine!r}: expected auto, recurrence, automaton, or brute"
     )

@@ -36,19 +36,6 @@ class Polynomial:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "Polynomial":
-        return cls((0,) * power + (coeff,))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
@@ -88,7 +75,7 @@ class Polynomial:
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.coeffs:
             return "0"
         parts: list[str] = []
         for k, c in enumerate(self.coeffs):
@@ -108,21 +95,16 @@ class Polynomial:
         return " ".join(parts)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RationalFunction:
-    """Quotient of two exact polynomials; equality is by cross-multiplication."""
+    """Quotient of two exact polynomials, compared and hashed as written (unreduced)."""
 
     num: Polynomial
     den: Polynomial
 
     def __post_init__(self) -> None:
-        if self.den.is_zero:
+        if not self.den.coeffs:
             raise ZeroDivisionError("rational function with zero denominator")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
 
     def derivative(self) -> "RationalFunction":
         """Quotient-rule derivative, left unreduced."""
@@ -180,7 +162,7 @@ def closed_gf(w: Word) -> RationalFunction:
     """
     den = builtin_spec(w).den
     return RationalFunction(
-        Polynomial.monomial(len(w), -1), Polynomial(tuple(-d for d in den))
+        Polynomial((0,) * len(w) + (-1,)), Polynomial(tuple(-d for d in den))
     )
 
 

@@ -107,7 +107,6 @@ class DyadicRational:
 class WordStats:
     """Exact mean and variance of the waiting time, stddev as a float."""
 
-    word: Word
     mean: Fraction
     variance: Fraction
     stddev: float
@@ -156,12 +155,7 @@ def moments(w: Word) -> WordStats:
     shifts = _overlaps(w)
     mean = sum(1 << (k - i) for i in shifts)
     variance = mean * mean + mean - 2 * sum((k - i) << (k - i) for i in shifts)
-    return WordStats(
-        word=w,
-        mean=Fraction(mean),
-        variance=Fraction(variance),
-        stddev=math.sqrt(variance),
-    )
+    return WordStats(Fraction(mean), Fraction(variance), math.sqrt(variance))
 
 
 def _decay(w: Word) -> tuple[float, float]:
@@ -224,8 +218,11 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
     b * q.denominator against q.numerator * 2**(n-1).  A miss aims again from
     the exact tail it read and narrows the range the next look must fall in,
     so the answer is exact whatever the floats say.  An answer past
-    n = _THRESHOLD_LIMIT + 1 is refused with ``ValueError``; when the model
-    puts it there, one look at that n decides.
+    L = _THRESHOLD_LIMIT + 1 is refused with ``ValueError``.  A union bound
+    over the L - k places where w can end before toss L gives
+    tail(L) >= 1 - (L - k) / 2**k; when that exceeds q (every word of 18 or
+    more letters at q <= 1/2), the refusal needs no look.  Otherwise, when
+    the model puts the answer past L, one look at L decides.
     """
     q = Fraction(q)
     if not 0 < q <= 1:
@@ -235,7 +232,8 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
     spec = _avoidance_spec(w)
     ln_a, ln_rate = _decay(w)
     ln_q = _ln_ratio(q.numerator, q.denominator)
-    limit = _THRESHOLD_LIMIT + 1
+    k, limit = len(w), _THRESHOLD_LIMIT + 1
+    past_limit = ((1 << k) - limit + k) * q.denominator > q.numerator << k
 
     def aim(n: int, ln_over_q: float) -> int:
         """Where the decay reaches q from a tail(n) that is exp(ln_over_q) q."""
@@ -246,17 +244,14 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
         x, y = b * q.denominator, q.numerator << (n - 1)
         return x > y, aim(n, _ln_ratio(x, y))
 
-    lo, hi, n = len(w), limit, aim(1, ln_a - ln_q)  # tail(lo) = 1 > q
-    while True:
+    lo, hi, n = k, limit, aim(1, ln_a - ln_q)  # tail(lo) = 1 > q
+    while not past_limit:
         n = min(max(n, lo + 1), hi)
         before, at = nth_terms(spec, (n - 1, n))
         above, next_n = look(n, at)
         if above:
             if n == limit:
-                raise ValueError(
-                    f"threshold of {w} at q = {q} lies past the limit n = {_THRESHOLD_LIMIT}"
-                    f" (the decay model puts it near n = {1 + (ln_a - ln_q) / ln_rate:.3g})"
-                )
+                break
             lo = n
         else:
             above, next_n = look(n - 1, before)
@@ -264,6 +259,10 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
                 return n
             hi = n - 1
         n = next_n
+    raise ValueError(
+        f"threshold of {w} at q = {q} lies past the limit n = {_THRESHOLD_LIMIT}"
+        f" (the decay model puts it near n = {1 + (ln_a - ln_q) / ln_rate:.3g})"
+    )
 
 
 def partial_moment_sums(w: Word, n_max: int) -> tuple[Fraction, Fraction]:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closedform import (
-    DEFAULT_CERTIFY_PROBE,
     RESIDUAL_TOL,
     _ceval,
     root_formula_count,
@@ -149,7 +148,7 @@ def _check_truncation_identity(m_lo: int, m_hi: int) -> tuple[bool, str]:
 def _check_closed_form_horizons(min_horizon: int) -> tuple[bool, str]:
     details = []
     for w in ESSENTIAL_WORDS:
-        model = solve_denominator(w, probe=DEFAULT_CERTIFY_PROBE)
+        model = solve_denominator(w)
         details.append(f"{w}={model.reliability_horizon}")
         if model.reliability_horizon < min_horizon:
             return False, f"{w} certified only to {model.reliability_horizon} < {min_horizon}"
@@ -233,8 +232,8 @@ def run_checks(depth: str = "quick") -> list[CheckResult]:
     """Run the whole suite; ``depth`` is 'quick' or 'full'.
 
     Full mode pushes the enumeration oracle to n = 20 and widens the
-    complement sweep.  On a 2-core Intel Xeon, quick mode takes 80 ms and
-    full mode 0.20 s (medians of 21 rounds, ``BENCH_11.json``).  Each result
+    complement sweep.  On a 2-core Intel Xeon, quick mode takes 89 ms and
+    full mode 0.19 s (medians of 21 rounds, ``BENCH_13.json``).  Each result
     carries the wall time of its check in ``seconds``.
     """
     if depth not in ("quick", "full"):

@@ -37,6 +37,11 @@ class TestCounts:
         values = tuple(int(line.split(",")[1]) for line in lines[1:])
         assert values == (0, 1, 1, 2, 3, 5)
 
+    def test_csv_is_byte_stable(self, capsys):
+        code, out, _ = run_cli(capsys, "counts", "HH", "6", "--format", "csv")
+        assert code == 0
+        assert out == "n,a_W(n)\n1,0\n2,1\n3,1\n4,2\n5,3\n6,5\n"
+
     def test_engines_agree_for_long_word(self, capsys):
         _, auto_out, _ = run_cli(capsys, "counts", "HTHT", "10", "--engine", "automaton")
         _, brute_out, _ = run_cli(capsys, "counts", "HTHT", "10", "--engine", "brute")
@@ -359,7 +364,7 @@ class TestNegativeControl:
             seq = exact(spec, n_max)
             values = list(seq.values)
             values[index] = value(values)
-            return CountSequence(word=seq.word, values=tuple(values))
+            return CountSequence(tuple(values))
 
         monkeypatch.setattr(verify, "extend_counts", corrupted)
         result = verify._check_normalization(200, self.SLACK)
@@ -369,7 +374,7 @@ class TestNegativeControl:
             assert result[1] == detail
 
     def test_corrupted_recurrence_fails_named_checks(self, monkeypatch):
-        broken = RecurrenceSpec((0, 1), (1, -1, -2), Word("HH"))  # a(n) = a(n-1) + 2 a(n-2)
+        broken = RecurrenceSpec((0, 1), (1, -1, -2))  # a(n) = a(n-1) + 2 a(n-2)
         exact = verify.builtin_spec
         monkeypatch.setattr(
             verify, "builtin_spec", lambda w: broken if w.letters == "HH" else exact(w)
@@ -400,7 +405,7 @@ class TestNegativeControl:
                 return seq
             values = list(seq.values)
             values[30] += 1  # the term at n = 31
-            return CountSequence(word=seq.word, values=tuple(values))
+            return CountSequence(tuple(values))
 
         monkeypatch.setattr(verify, "extend_counts", corrupted)
         results = {r.name: r for r in run_checks(depth="quick")}

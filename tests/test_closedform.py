@@ -245,7 +245,7 @@ class TestUnitRoot:
                 while quot(1) == 0:
                     quot = Polynomial(_divide_by_x_minus_one(quot.coeffs))
                 q, dq = list(quot.coeffs), list(quot.derivative().coeffs)
-                assert quot.degree == 0 or _gcd_degree_mod_prime(q, dq) == 0, w
+                assert len(quot.coeffs) == 1 or _gcd_degree_mod_prime(q, dq) == 0, w
 
     def test_repeated_root_raises(self, monkeypatch):
         root = GOLDEN_RATIO_CONJUGATES[0]

@@ -48,7 +48,7 @@ def test_bench_layers(tmp_path):
         "verify tail-identities n<=64", "verify cdf-vs-partial-sum m<=64",
         "verify normalization m<=200", "threshold HHHHHHHHHH q=1e-6",
         "threshold HTHTHTHTHT q=1e-6", "threshold HTH q=1/10",
-        "threshold HHHHHHHHHHHHHHHHHHHH q=1/2 refusal",
+        "threshold HHHHHHHHHHHHHHHHHHHH q=1/2 refusal", "threshold H T^63 q=1/2 refusal",
         "brute_force_count HT n=15", "brute_force_count HHTHTTHHTH n=20",
         "counts HTH n=14 engine=brute", "verify engine-agreement n<=20",
         "tail HTH n=64", "tail HTHTTHHTHT n=64", "cdf HTH m=2",
@@ -58,8 +58,8 @@ def test_bench_layers(tmp_path):
         assert report["rows"][f"run_trials HHH 1000000 trials workers={workers}"]["current_ms"] > 0
     cold = [name for name in report["rows"] if name.startswith("cold ")]
     assert cold == [
-        "cold import coinwords", "cold counts HTHT 20", "cold tail HTH 22",
-        "cold threshold HHH 1e-100", "cold stats HTHT", "cold simulate HTHH 65536 trials",
-        "cold verify --full",
+        "cold import coinwords", "cold counts HTHT 20", "cold counts HTH 40 csv",
+        "cold tail HTH 22", "cold threshold HHH 1e-100", "cold stats HTHT",
+        "cold simulate HTHH 65536 trials", "cold verify --full",
     ]
     assert all(report["rows"][name]["current_ms"] > 0 for name in cold)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -433,6 +434,55 @@ class TestThresholdJumps:
         assert len(jumps) <= 2
         assert str(w) in str(info.value) and "1/2" in str(info.value)
         assert "n = 100000" in str(info.value)
+
+    @pytest.mark.parametrize("letters", ["H" + "T" * 63, "H" * 20])
+    def test_long_word_is_refused_without_a_jump(self, monkeypatch, letters):
+        jumps = []
+        monkeypatch.setattr(stats, "nth_terms", lambda spec, indices: jumps.append(indices))
+        message = f"threshold of {letters} at q = 1/2 lies past the limit n = 100000 "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            threshold(Word(letters), Fraction(1, 2))
+        assert jumps == []
+
+    def test_seventeen_letters_still_take_the_jump(self, monkeypatch):
+        jumps = []
+        exact = stats.nth_terms
+
+        def counted(spec, indices):
+            jumps.append(indices)
+            return exact(spec, indices)
+
+        monkeypatch.setattr(stats, "nth_terms", counted)
+        with pytest.raises(ValueError, match="lies past the limit n = 100000"):
+            threshold(Word("H" * 17), Fraction(1, 2))
+        assert jumps == [(100000, 100001)]
+
+    @pytest.mark.parametrize("k", range(17, 25))
+    def test_every_refusal_without_a_jump_is_confirmed_by_one(self, monkeypatch, k):
+        """The union bound refuses only where tail(L) > q, L = 100001."""
+
+        class Jumped(Exception):
+            pass
+
+        def no_jump(spec, indices):
+            raise Jumped
+
+        exact = stats.nth_terms
+        monkeypatch.setattr(stats, "nth_terms", no_jump)
+        limit = stats._THRESHOLD_LIMIT + 1
+        for letters in ("H" * k, "H" + "T" * (k - 1)):
+            w, b = Word(letters), None
+            for q in (Fraction(1, 2), Fraction(1, 10)):
+                try:
+                    threshold(w, q)
+                except Jumped:
+                    assert k < 18 and q == Fraction(1, 2), f"{w} at q={q}"
+                    continue
+                except ValueError:
+                    pass
+                if b is None:
+                    (b,) = exact(stats._avoidance_spec(w), (limit,))
+                assert b * q.denominator > q.numerator << (limit - 1), f"{w} at q={q}"
 
     @pytest.mark.parametrize("letters,text,n", [("HTH", "0.1", 21), ("HHH", "1e-100", 2752)])
     def test_answer_is_given_up_to_one_past_the_limit(self, monkeypatch, letters, text, n):
