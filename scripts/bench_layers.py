@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline a205a9f --repeats 21   # writes BENCH_13.json
+    python scripts/bench_layers.py --baseline 52ac0c4 --repeats 21   # writes BENCH_14.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -56,7 +56,8 @@ def _cases() -> dict:
 
     from coinwords import Word, verify
     from coinwords.counting import (
-        ESSENTIAL_WORDS, automaton_counts, builtin_spec, counts, extend_counts,
+        ESSENTIAL_WORDS, automaton_counts, builtin_spec, counts, extend_counts, nth_terms,
+        transition_table,
     )
     from coinwords.genfun import closed_gf, finite_gf
     from coinwords.montecarlo import TrialConfig, run_trials
@@ -72,11 +73,17 @@ def _cases() -> dict:
         "brute_force_count HHTHTTHHTH n=20": lambda: brute_force_count(Word("HHTHTTHHTH"), 20),
         "counts HTH n=14 engine=brute": lambda: counts(hth, 14, "brute"),
     }
+    cases[f"transition_table {long_word}"] = lambda: transition_table(long_word)
     for w in (hth, long_word):
+        cases[f"automaton_counts {w} n=64"] = lambda w=w: automaton_counts(w, 64)
         cases[f"automaton_counts {w} n=20000"] = lambda w=w: automaton_counts(w, 20000)
         for f in (pmf, tail, cdf):
             cases[f"{f.__name__} {w} n=20000"] = lambda f=f, w=w: f(w, 20000)
         cases[f"tail {w} n=64"] = lambda w=w: tail(w, 64)  # verify's range
+    cases["nth_terms HTH n=63,64"] = lambda: nth_terms(builtin_spec(hth), (63, 64))
+    cases[f"nth_terms {long_word} n=19999,20000"] = lambda: nth_terms(
+        builtin_spec(long_word), (19999, 20000)
+    )
     cases["cdf HTH m=2"] = lambda: cdf(hth, 2)  # a term below the word's length
     for letters in ("HHH", "HTH"):
         cases[f"threshold {letters} q=1e-100"] = lambda w=Word(letters): threshold(w, deep)
@@ -231,7 +238,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_13.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_14.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

@@ -155,29 +155,25 @@ def nth_term(spec: RecurrenceSpec, n: int) -> int:
 
 
 def nth_terms(spec: RecurrenceSpec, indices: tuple[int, ...]) -> tuple[int, ...]:
-    """``nth_term`` at each of ``indices``, the jumps sharing one denominator chain.
+    """``nth_term`` at each of ``indices``, every jump run to one index.
 
-    The chain den(x), den(x)den(-x), ... does not depend on the index; only
-    how far it runs does (the bit length of the index).  So each further
-    index costs one numerator product per round: two neighbouring terms take
-    three products per round instead of four.
+    Term n of num/den is also term m of x**(m-n) * num/den for any m >= n,
+    so each numerator is padded with zeros up to the largest index and all
+    of them take ``nth_term``'s rounds for that one index, sharing its
+    denominator chain: two neighbouring terms take three products per round
+    instead of four.  Spread indices pay for their padding, in the first
+    rounds only.
     """
     if min(indices) < 1:
         raise ValueError(f"term index must be >= 1, got {min(indices)}")
-    num, den = list(spec.num), list(spec.den)
-    out = [0] * len(indices)
-    live = [(i, n - 1, num) for i, n in enumerate(indices)]
-    while live:
-        rest = []
-        for i, index, part in live:
-            part = _half_product(part, den, index & 1)
-            if index > 1:
-                rest.append((i, index >> 1, part))
-            else:
-                out[i] = part[0]
-        live = rest
+    top, num = max(indices), list(spec.num) or [0]
+    nums, den = [[0] * (top - n) + num for n in indices], list(spec.den)
+    index = top - 1
+    while index:
+        nums = [_half_product(part, den, index & 1) for part in nums]
         den = _half_product(den, den, 0)
-    return tuple(out)
+        index >>= 1
+    return tuple(part[0] for part in nums)
 
 
 def transition_table(w: Word) -> list[list[int]]:
@@ -186,23 +182,21 @@ def transition_table(w: Word) -> list[list[int]]:
     State s in 0..N-1 is the length of the longest proper prefix of ``w``
     matching the current toss suffix; row s is (next state on T, next state
     on H).  State N means the pattern just completed and is absorbing.
-    Fallbacks use the classical longest-suffix-that-is-a-prefix function.
+    Row s is the row of the restart state, the state reached on letters
+    2..s of ``w``, except that letter s + 1 leads to state s + 1; the
+    restart state then reads letter s + 1 itself.  So one pass builds the
+    table, with no failure function.
     """
     letters = w.letters
     size = len(letters)
-    fail = [0] * size
-    k = 0
-    for i in range(1, size):
-        while k and letters[i] != letters[k]:
-            k = fail[k - 1]
-        if letters[i] == letters[k]:
-            k += 1
-        fail[i] = k
     table = [[0, 0] for _ in range(size + 1)]
     table[0][letters[0] == "H"] = 1
+    back = 0
     for s in range(1, size):
-        table[s] = list(table[fail[s - 1]])
-        table[s][letters[s] == "H"] = s + 1
+        bit = letters[s] == "H"
+        table[s] = list(table[back])
+        table[s][bit] = s + 1
+        back = table[back][bit]
     table[size] = [size, size]
     return table
 
@@ -210,31 +204,24 @@ def transition_table(w: Word) -> list[list[int]]:
 def automaton_counts(w: Word, n_max: int) -> CountSequence:
     """Count first completions at each toss via the prefix automaton.
 
-    Tracks how many length-t strings sit in each non-completed state; paths
-    entering the full-match state are counted once and removed, which is
-    exactly the first-occurrence condition.  Agrees with brute_force_count
-    for every word and toss count, with no enumeration cap.
+    Tracks how many length-t strings sit in each non-completed state.  Each
+    toss moves them into a list with one more slot, the full-match state;
+    popping that slot counts the paths that just completed once and removes
+    them, which is exactly the first-occurrence condition.  Agrees with
+    brute_force_count for every word and toss count, with no enumeration
+    cap.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     table = transition_table(w)
-    size = len(w)
-    state_counts = [0] * size
-    state_counts[0] = 1
+    state_counts = [1]  # the empty record; zip skips the states it cannot be in
     values = []
     for _ in range(n_max):
-        nxt = [0] * size
-        completed = 0
-        for s, cnt in enumerate(state_counts):
-            if not cnt:
-                continue
-            for b in (0, 1):
-                t = table[s][b]
-                if t == size:
-                    completed += cnt
-                else:
-                    nxt[t] += cnt
-        values.append(completed)
+        nxt = [0] * len(table)
+        for (on_t, on_h), cnt in zip(table, state_counts):
+            nxt[on_t] += cnt
+            nxt[on_h] += cnt
+        values.append(nxt.pop())
         state_counts = nxt
     return CountSequence(tuple(values))
 

@@ -66,20 +66,33 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class EmpiricalSummary:
-    """Aggregated waiting times; mean and variance are over completed trials.
-
-    Mean and variance are derived from ``histogram`` and are NaN when every
-    trial truncates, so they take no part in equality.
+    """What the trials produced: the completed trials' waiting-time histogram
+    and how many trials truncated.  Count, mean and variance are read from
+    them, over the completed trials; mean and variance are NaN when every
+    trial truncates.
     """
 
     word: Word
     trials: int
     seed: int
-    count: int
     truncated: int
-    mean: float = field(compare=False)
-    variance: float = field(compare=False)
     histogram: dict[int, int] = field(repr=False)
+
+    @property
+    def count(self) -> int:
+        return self.trials - self.truncated
+
+    @property
+    def mean(self) -> float:
+        if not self.count:
+            return float("nan")
+        return sum(t * c for t, c in self.histogram.items()) / self.count
+
+    @property
+    def variance(self) -> float:
+        if not self.count:
+            return float("nan")
+        return sum(t * t * c for t, c in self.histogram.items()) / self.count - self.mean**2
 
     def tail_fraction(self, n: int) -> float:
         """Empirical P(waiting time >= n); truncated trials count as large."""
@@ -208,25 +221,8 @@ def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
         truncated += trunc
         for v, c in zip(values.tolist(), cnts.tolist()):
             histogram[v] = histogram.get(v, 0) + c
-    histogram = dict(sorted(histogram.items()))
-    completed = cfg.trials - truncated
-    if completed:
-        s1 = sum(t * c for t, c in histogram.items())
-        s2 = sum(t * t * c for t, c in histogram.items())
-        mean = s1 / completed
-        variance = s2 / completed - (s1 / completed) ** 2
-    else:
-        mean = float("nan")
-        variance = float("nan")
     return EmpiricalSummary(
-        word=cfg.word,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        count=completed,
-        truncated=truncated,
-        mean=mean,
-        variance=variance,
-        histogram=histogram,
+        cfg.word, cfg.trials, cfg.seed, truncated, dict(sorted(histogram.items()))
     )
 
 

@@ -186,8 +186,47 @@ class TestNthTerms:
         with pytest.raises(ValueError):
             nth_terms(builtin_spec(Word("HH")), (3, 0))
 
+    @pytest.mark.parametrize(
+        "den", [(1, -1), (1, -1, -1), counting._denominator(Word("HT")),
+                counting._denominator(Word("HTH"))],
+    )
+    def test_zero_numerator_gives_zero_by_every_route(self, den):
+        spec = RecurrenceSpec((), den)
+        assert extend_counts(spec, 20).values == (0,) * 20
+        for n in range(1, 21):
+            assert nth_term(spec, n) == 0
+            assert nth_terms(spec, (n,)) == (0,)
+            if n > 1:
+                assert nth_terms(spec, (n - 1, n)) == (0, 0)
+
+
+def failure_function_table(w: Word) -> list[list[int]]:
+    """The automaton built from the longest-suffix-that-is-a-prefix function."""
+    letters = w.letters
+    size = len(letters)
+    fail = [0] * size
+    k = 0
+    for i in range(1, size):
+        while k and letters[i] != letters[k]:
+            k = fail[k - 1]
+        if letters[i] == letters[k]:
+            k += 1
+        fail[i] = k
+    table = [[0, 0] for _ in range(size + 1)]
+    table[0][letters[0] == "H"] = 1
+    for s in range(1, size):
+        table[s] = list(table[fail[s - 1]])
+        table[s][letters[s] == "H"] = s + 1
+    table[size] = [size, size]
+    return table
+
 
 class TestAutomaton:
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_transition_table_matches_failure_function(self, length):
+        for w in all_words(length):
+            assert transition_table(w) == failure_function_table(w), w
+
     def test_transition_table_shape(self):
         table = transition_table(Word("HTH"))
         assert len(table) == 4

@@ -52,6 +52,9 @@ def test_bench_layers(tmp_path):
         "brute_force_count HT n=15", "brute_force_count HHTHTTHHTH n=20",
         "counts HTH n=14 engine=brute", "verify engine-agreement n<=20",
         "tail HTH n=64", "tail HTHTTHHTHT n=64", "cdf HTH m=2",
+        "transition_table HTHTTHHTHT", "automaton_counts HTH n=64",
+        "automaton_counts HTHTTHHTHT n=64", "nth_terms HTH n=63,64",
+        "nth_terms HTHTTHHTHT n=19999,20000",
     ):
         assert report["rows"][name]["current_ms"] > 0
     for workers in (1, 2):
