@@ -2,14 +2,16 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline 52ac0c4 --repeats 21   # writes BENCH_14.json
+    python scripts/bench_layers.py --baseline 1721da2 --repeats 21   # writes BENCH_15.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
 BUDGET_S seconds have gone into them, and keeps their median.  Each row is
 the median of those per-call times, in milliseconds, over --repeats rounds,
 with the interquartile range beside it: a speedup whose two ranges
-overlap is within the machine's run-to-run spread.  Two kinds of rows:
+overlap is within the machine's run-to-run spread.  Rows named "... x1000"
+time a thousand sub-microsecond operations in one call, so their
+milliseconds read as microseconds per operation.  Two kinds of rows:
 
 - warm rows time calls of a case, after one warm-up call, in a timing
   interpreter started for the round, whose PYTHONPATH is one source tree's
@@ -61,7 +63,7 @@ def _cases() -> dict:
     )
     from coinwords.genfun import closed_gf, finite_gf
     from coinwords.montecarlo import TrialConfig, run_trials
-    from coinwords.stats import cdf, pmf, tail, threshold
+    from coinwords.stats import DyadicRational, cdf, pmf, tail, threshold
     from coinwords.words import all_words, brute_force_count
 
     hth, long_word = Word("HTH"), Word(LONG_WORD)
@@ -117,6 +119,13 @@ def _cases() -> dict:
     cases["verify normalization m<=200"] = lambda: verify._check_normalization(200, slack)
     cases["verify quick"] = lambda: verify.run_checks("quick")
     cases["verify full"] = lambda: verify.run_checks("full")
+    twin, thousand = Word(LONG_WORD), range(1000)
+    cases[f'Word("{LONG_WORD}") x1000'] = lambda: [Word(LONG_WORD) for _ in thousand]
+    cases["Word == Word x1000"] = lambda: [long_word == twin for _ in thousand]
+    cases["hash(Word) x1000"] = lambda: [hash(long_word) for _ in thousand]
+    cases["DyadicRational(12345 << 3, 40) x1000"] = lambda: [
+        DyadicRational(12345 << 3, 40) for _ in thousand
+    ]
     return cases
 
 
@@ -192,9 +201,9 @@ def _time_cold(src: str, argv: tuple) -> float:
 
 
 def _quartiles(values: list) -> tuple:
-    """(Q1, median, Q3) of the per-round timings, rounded to microseconds."""
+    """(Q1, median, Q3) of the per-round timings, to 3 significant figures."""
     qs = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return tuple(round(q, 3) for q in qs)
+    return tuple(float(f"{q:.3g}") for q in qs)
 
 
 def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
@@ -238,7 +247,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_14.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_15.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

@@ -20,9 +20,8 @@ program over the prefix-match states of the pattern automaton counts the
 same sequence.  All arithmetic uses Python's unbounded integers.
 """
 
-from dataclasses import dataclass
-
-from .words import ENUMERATION_CAP_ENV, Word, brute_force_count, enumeration_cap
+from .words import ENUMERATION_CAP_ENV, Word, _Record, _set_field
+from .words import brute_force_count, enumeration_cap
 
 __all__ = [
     "ESSENTIAL_WORDS",
@@ -46,18 +45,20 @@ def _overlaps(w: Word) -> tuple[int, ...]:
     return tuple(i for i in range(k) if s[i:] == s[: k - i])
 
 
-def _denominator(w: Word) -> tuple[int, ...]:
-    """Coefficients D_0..D_k of D(x) = x**k + (1 - 2x) c(x); D_0 = 1, D_k = +-1."""
+def _denominator(w: Word, shifts: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """Coefficients D_0..D_k of D(x) = x**k + (1 - 2x) c(x); D_0 = 1, D_k = +-1.
+
+    ``shifts``, when given, are the overlaps of ``w``, so they are not found twice.
+    """
     den = [0] * (len(w) + 1)
     den[-1] = 1
-    for i in _overlaps(w):
+    for i in _overlaps(w) if shifts is None else shifts:
         den[i] += 1
         den[i + 1] -= 2
     return tuple(den)
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(_Record):
     """The generating fraction num(x)/den(x): term n >= 1 is its x**(n-1) coefficient.
 
     den[0] = 1, so the terms obey the linear recurrence
@@ -65,21 +66,40 @@ class RecurrenceSpec:
     A spec names no word, since complement words share one fraction.
     """
 
-    num: tuple[int, ...]
-    den: tuple[int, ...]
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        if not self.den or self.den[0] != 1:
-            raise ValueError(f"denominator must have constant term 1, got {self.den}")
-        if not any(self.den[1:]):
-            raise ValueError(f"denominator must have degree >= 1, got {self.den}")
+    def __init__(self, num: tuple[int, ...], den: tuple[int, ...]) -> None:
+        if not den or den[0] != 1:
+            raise ValueError(f"denominator must have constant term 1, got {den}")
+        if not any(den[1:]):
+            raise ValueError(f"denominator must have degree >= 1, got {den}")
+        _set_field(self, "num", num)
+        _set_field(self, "den", den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is RecurrenceSpec:
+            return (self.num, self.den) == (other.num, other.den)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
 
-@dataclass(frozen=True)
-class CountSequence:
+class CountSequence(_Record):
     """The terms of a sequence, indexed from n = 1."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]) -> None:
+        _set_field(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is CountSequence:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.values)
 
     def at(self, n: int) -> int:
         """a(n) for 1 <= n <= len(self)."""
@@ -103,7 +123,8 @@ def builtin_spec(w: Word) -> RecurrenceSpec:
 def _avoidance_spec(w: Word) -> RecurrenceSpec:
     """b(m), the length-m records that avoid ``w``, as term m + 1 of c(x) / D(x)."""
     shifts = _overlaps(w)
-    return RecurrenceSpec(tuple(int(i in shifts) for i in range(len(w))), _denominator(w))
+    num = tuple(int(i in shifts) for i in range(len(w)))
+    return RecurrenceSpec(num, _denominator(w, shifts))
 
 
 def extend_counts(spec: RecurrenceSpec, n_max: int) -> CountSequence:

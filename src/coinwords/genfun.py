@@ -9,11 +9,10 @@ coefficients; a ``Fraction`` appears only when one is evaluated (at 1/2, the
 probability of seeing the pattern within m tosses) or expanded by ``series``.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import builtin_spec, counts, extend_counts
-from .words import Word
+from .words import Word, _Record, _set_field
 
 __all__ = [
     "Polynomial",
@@ -24,17 +23,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Coefficients in ascending degree; trailing zeros trimmed, zero = ()."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        cs = tuple(self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
+        cs = tuple(coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        _set_field(self, "coeffs", cs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Polynomial:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -95,16 +101,24 @@ class Polynomial:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(_Record):
     """Quotient of two exact polynomials, compared and hashed as written (unreduced)."""
 
-    num: Polynomial
-    den: Polynomial
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        if not self.den.coeffs:
+    def __init__(self, num: Polynomial, den: Polynomial) -> None:
+        if not den.coeffs:
             raise ZeroDivisionError("rational function with zero denominator")
+        _set_field(self, "num", num)
+        _set_field(self, "den", den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is RationalFunction:
+            return (self.num, self.den) == (other.num, other.den)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     def derivative(self) -> "RationalFunction":
         """Quotient-rule derivative, left unreduced."""

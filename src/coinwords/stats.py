@@ -17,7 +17,6 @@ look but never decides the answer.
 """
 
 import math
-from dataclasses import dataclass
 from functools import total_ordering
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from .counting import (
     nth_term,
     nth_terms,
 )
-from .words import Word
+from .words import Word, _Record, _set_field
 
 __all__ = [
     "DyadicRational",
@@ -48,19 +47,17 @@ _THRESHOLD_LIMIT = 100_000  # answers past this + 1 are refused
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class DyadicRational:
+class DyadicRational(_Record):
     """numerator / 2**exponent, canonical with an odd (or zero) numerator.
 
     Compares and hashes as the number it is, also against ``int``, ``float``
     and ``Fraction``.
     """
 
-    numerator: int
-    exponent: int
+    __slots__ = ("numerator", "exponent")
 
-    def __post_init__(self) -> None:
-        num, k = self.numerator, self.exponent
+    def __init__(self, numerator: int, exponent: int) -> None:
+        num, k = numerator, exponent
         if num < 0:
             raise ValueError(f"dyadic numerator must be >= 0, got {num}")
         if k < 0:
@@ -71,8 +68,8 @@ class DyadicRational:
             shift = min((num & -num).bit_length() - 1, k)
             num >>= shift
             k -= shift
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", k)
+        _set_field(self, "numerator", num)
+        _set_field(self, "exponent", k)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, 1 << self.exponent)
@@ -103,13 +100,25 @@ class DyadicRational:
         return f"{self.numerator}/{1 << self.exponent}"
 
 
-@dataclass(frozen=True)
-class WordStats:
+class WordStats(_Record):
     """Exact mean and variance of the waiting time, stddev as a float."""
 
-    mean: Fraction
-    variance: Fraction
-    stddev: float
+    __slots__ = ("mean", "variance", "stddev")
+
+    def __init__(self, mean: Fraction, variance: Fraction, stddev: float) -> None:
+        _set_field(self, "mean", mean)
+        _set_field(self, "variance", variance)
+        _set_field(self, "stddev", stddev)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is WordStats:
+            return (self.mean, self.variance, self.stddev) == (
+                other.mean, other.variance, other.stddev
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mean, self.variance, self.stddev))
 
 
 def pmf(w: Word, n: int) -> DyadicRational:

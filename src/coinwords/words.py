@@ -10,7 +10,6 @@ every prefix of the other n - k tosses, followed by the word's k letters.
 
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = [
@@ -31,20 +30,59 @@ _COMPLEMENT = str.maketrans("HT", "TH")
 _CHUNK = 1 << 22  # prefixes per numpy block
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+# Sets a field of a record in its __init__, past the refusing __setattr__.
+_set_field = object.__setattr__
+
+
+class _Record:
+    """An immutable value whose fields are the ``__slots__`` of its class.
+
+    A record sets its fields in ``__init__`` with ``_set_field``, and its
+    own ``__eq__`` and ``__hash__`` read them by name (a loop over the slots
+    is several times slower).  This base refuses assignment, lists the
+    fields in the repr, and rebuilds a record through its constructor for
+    pickle and deepcopy.  It stands in for a frozen dataclass, since
+    importing ``dataclasses`` costs a cold command more than its own work.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Word(_Record):
     """A nonempty pattern over {H, T} in canonical uppercase form."""
 
-    letters: str
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, letters: str) -> None:
+        if not letters:
             raise ValueError("word must have at least one letter")
-        for pos, ch in enumerate(self.letters, start=1):
-            if ch not in "HT":
-                raise ValueError(
-                    f"invalid letter {ch!r} at position {pos}: words use only H and T"
-                )
+        if letters.strip("HT"):  # some letter is neither H nor T: name the first
+            pos, ch = next(p for p in enumerate(letters, start=1) if p[1] not in "HT")
+            raise ValueError(
+                f"invalid letter {ch!r} at position {pos}: words use only H and T"
+            )
+        _set_field(self, "letters", letters)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Word:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)

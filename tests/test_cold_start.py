@@ -1,4 +1,5 @@
-"""Cold start: the exact commands and a bare ``import coinwords`` load no numpy.
+"""Cold start: the exact commands and a bare ``import coinwords`` load no numpy,
+and no ``dataclasses`` or ``inspect`` either.
 
 pytest has imported numpy long before these tests run, so each check starts
 a fresh interpreter with PYTHONPATH set to this tree's src/.
@@ -46,6 +47,19 @@ def test_exact_command_loads_no_numpy(argv):
     modules = imported_modules(proc.stderr)
     assert "coinwords.stats" in modules  # the log was read
     assert not [m for m in modules if m.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("-m", "coinwords.cli", *argv) for argv in EXACT_COMMANDS] + [("-c", "import coinwords")],
+    ids=" ".join,
+)
+def test_cold_path_loads_no_dataclasses(args):
+    proc = run_python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    modules = imported_modules(proc.stderr)
+    assert "coinwords.stats" in modules  # the log was read
+    assert "dataclasses" not in modules and "inspect" not in modules
 
 
 def test_bare_import_loads_no_numpy():

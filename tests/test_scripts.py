@@ -54,9 +54,12 @@ def test_bench_layers(tmp_path):
         "tail HTH n=64", "tail HTHTTHHTHT n=64", "cdf HTH m=2",
         "transition_table HTHTTHHTHT", "automaton_counts HTH n=64",
         "automaton_counts HTHTTHHTHT n=64", "nth_terms HTH n=63,64",
-        "nth_terms HTHTTHHTHT n=19999,20000",
+        "nth_terms HTHTTHHTHT n=19999,20000", 'Word("HTHTTHHTHT") x1000',
+        "Word == Word x1000", "hash(Word) x1000", "DyadicRational(12345 << 3, 40) x1000",
     ):
         assert report["rows"][name]["current_ms"] > 0
+    for row in report["rows"].values():  # 3 significant figures, however small
+        assert float(f"{row['current_ms']:.3g}") == row["current_ms"]
     for workers in (1, 2):
         assert report["rows"][f"run_trials HHH 1000000 trials workers={workers}"]["current_ms"] > 0
     cold = [name for name in report["rows"] if name.startswith("cold ")]
