@@ -45,14 +45,11 @@ def _overlaps(w: Word) -> tuple[int, ...]:
     return tuple(i for i in range(k) if s[i:] == s[: k - i])
 
 
-def _denominator(w: Word, shifts: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """Coefficients D_0..D_k of D(x) = x**k + (1 - 2x) c(x); D_0 = 1, D_k = +-1.
-
-    ``shifts``, when given, are the overlaps of ``w``, so they are not found twice.
-    """
+def _denominator(w: Word, shifts: tuple[int, ...]) -> tuple[int, ...]:
+    """D_0..D_k of D(x) = x**k + (1 - 2x) c(x), c from the overlaps ``shifts`` of ``w``."""
     den = [0] * (len(w) + 1)
     den[-1] = 1
-    for i in _overlaps(w) if shifts is None else shifts:
+    for i in shifts:
         den[i] += 1
         den[i + 1] -= 2
     return tuple(den)
@@ -76,14 +73,6 @@ class RecurrenceSpec(_Record):
         _set_field(self, "num", num)
         _set_field(self, "den", den)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is RecurrenceSpec:
-            return (self.num, self.den) == (other.num, other.den)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
 
 class CountSequence(_Record):
     """The terms of a sequence, indexed from n = 1."""
@@ -92,14 +81,6 @@ class CountSequence(_Record):
 
     def __init__(self, values: tuple[int, ...]) -> None:
         _set_field(self, "values", values)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is CountSequence:
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.values)
 
     def at(self, n: int) -> int:
         """a(n) for 1 <= n <= len(self)."""
@@ -117,7 +98,7 @@ def builtin_spec(w: Word) -> RecurrenceSpec:
     Complement pairs share one fraction, since overlaps are invariant under
     swapping H and T.
     """
-    return RecurrenceSpec((0,) * (len(w) - 1) + (1,), _denominator(w))
+    return RecurrenceSpec((0,) * (len(w) - 1) + (1,), _denominator(w, _overlaps(w)))
 
 
 def _avoidance_spec(w: Word) -> RecurrenceSpec:

@@ -34,14 +34,6 @@ class Polynomial(_Record):
             cs = cs[:-1]
         _set_field(self, "coeffs", cs)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Polynomial:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
@@ -111,14 +103,6 @@ class RationalFunction(_Record):
             raise ZeroDivisionError("rational function with zero denominator")
         _set_field(self, "num", num)
         _set_field(self, "den", den)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is RationalFunction:
-            return (self.num, self.den) == (other.num, other.den)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def derivative(self) -> "RationalFunction":
         """Quotient-rule derivative, left unreduced."""

@@ -110,16 +110,6 @@ class WordStats(_Record):
         _set_field(self, "variance", variance)
         _set_field(self, "stddev", stddev)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is WordStats:
-            return (self.mean, self.variance, self.stddev) == (
-                other.mean, other.variance, other.stddev
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.mean, self.variance, self.stddev))
-
 
 def pmf(w: Word, n: int) -> DyadicRational:
     """P(first occurrence ends exactly at toss n) = a(n)/2**n."""

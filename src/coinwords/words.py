@@ -9,6 +9,7 @@ every prefix of the other n - k tosses, followed by the word's k letters.
 """
 
 import itertools
+import operator
 import os
 from typing import Iterator
 
@@ -35,17 +36,24 @@ _set_field = object.__setattr__
 
 
 class _Record:
-    """An immutable value whose fields are the ``__slots__`` of its class.
-
-    A record sets its fields in ``__init__`` with ``_set_field``, and its
-    own ``__eq__`` and ``__hash__`` read them by name (a loop over the slots
-    is several times slower).  This base refuses assignment, lists the
-    fields in the repr, and rebuilds a record through its constructor for
-    pickle and deepcopy.  It stands in for a frozen dataclass, since
-    importing ``dataclasses`` costs a cold command more than its own work.
+    """An immutable value whose fields are the ``__slots__`` of its class, set in
+    ``__init__`` with ``_set_field``: a frozen dataclass without the cold-start
+    cost of importing ``dataclasses``.  It equals only a record of its own class
+    with equal fields, and ``_fields`` reads them all in one C call.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -75,14 +83,6 @@ class Word(_Record):
                 f"invalid letter {ch!r} at position {pos}: words use only H and T"
             )
         _set_field(self, "letters", letters)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Word:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -187,8 +187,8 @@ class TestNthTerms:
             nth_terms(builtin_spec(Word("HH")), (3, 0))
 
     @pytest.mark.parametrize(
-        "den", [(1, -1), (1, -1, -1), counting._denominator(Word("HT")),
-                counting._denominator(Word("HTH"))],
+        "den", [(1, -1), (1, -1, -1)] + [counting._denominator(w, counting._overlaps(w))
+                                         for w in (Word("HT"), Word("HTH"))],
     )
     def test_zero_numerator_gives_zero_by_every_route(self, den):
         spec = RecurrenceSpec((), den)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwords import stats
-from coinwords.counting import _denominator, builtin_spec, counts, extend_counts
+from coinwords.counting import _denominator, _overlaps, builtin_spec, counts, extend_counts
 from coinwords.genfun import closed_gf, finite_gf
 from coinwords.stats import (
     DyadicRational,
@@ -500,7 +500,7 @@ class TestThresholdJumps:
         for w in all_words(length):
             ln_a, ln_rate = stats._decay(w)
             x = math.exp(ln_rate) / 2
-            den = _denominator(w)
+            den = _denominator(w, _overlaps(w))
             if sum(den) == 0 and sum(i * d for i, d in enumerate(den)) == 0:
                 assert (str(w), ln_a) in (("HT", 0.0), ("TH", 0.0))  # double root at x = 1
                 assert x == pytest.approx(1.0, abs=1e-6)
