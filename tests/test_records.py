@@ -95,6 +95,12 @@ def test_record_never_equals_another_type(name):
             assert a != other and other != a
 
 
+def test_equal_fields_of_another_record_class_differ():
+    sequence, polynomial = CountSequence((0, 1)), Polynomial((0, 1))
+    assert sequence.values == polynomial.coeffs
+    assert sequence != polynomial and polynomial != sequence
+
+
 def test_zero_polynomial():
     zero = Polynomial()
     assert zero.coeffs == () and zero == Polynomial((0,)) and str(zero) == "0"
