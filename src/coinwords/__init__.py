@@ -46,7 +46,6 @@ from .words import (
     all_words,
     brute_force_count,
     enumeration_cap,
-    first_occurrence_ends_at,
     parse_word,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "enumeration_cap",
     "extend_counts",
     "finite_gf",
-    "first_occurrence_ends_at",
     "moments",
     "nth_term",
     "parse_word",
@@ -85,7 +83,6 @@ __all__ = [
     "pmf",
     "root_formula_count",
     "run_trials",
-    "sample_waiting_time",
     "secondary_term",
     "solve_denominator",
     "tail",
@@ -104,7 +101,7 @@ _LAZY = {
         "secondary_term",
         "solve_denominator",
     ),
-    "montecarlo": ("EmpiricalSummary", "TrialConfig", "run_trials", "sample_waiting_time"),
+    "montecarlo": ("EmpiricalSummary", "TrialConfig", "run_trials"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -97,13 +97,14 @@ def _ordered(poles: list[tuple[complex, complex]]) -> list[tuple[complex, comple
     ]
 
 
-def solve_denominator(w: Word, probe: int = DEFAULT_CERTIFY_PROBE) -> ClosedFormModel:
-    """Solve D(x) = 0 and certify the rounding horizon.
+def solve_denominator(w: Word) -> ClosedFormModel:
+    """Solve D(x) = 0 and certify the rounding horizon up to DEFAULT_CERTIFY_PROBE.
 
     Factors of x - 1 are divided out exactly; the rest goes through the numpy
     companion-matrix solver with Newton polishing.  Residuals above
     RESIDUAL_TOL, or two roots that coincide, indicate a solver failure (the
-    partial fractions need simple roots) and raise.
+    partial fractions need simple roots) and raise.  ``certify_horizon`` on
+    the returned model extends the horizon past the probe.
     """
     k = len(w)
     den = builtin_spec(w).den
@@ -138,7 +139,7 @@ def solve_denominator(w: Word, probe: int = DEFAULT_CERTIFY_PROBE) -> ClosedForm
         unit_intercept=unit_intercept,
         reliability_horizon=0,
     )
-    certify_horizon(model, probe)
+    certify_horizon(model, DEFAULT_CERTIFY_PROBE)
     return model
 
 

@@ -10,21 +10,17 @@ two blocks is found (see ``_run_chunk``).  Trials are processed in
 fixed-size chunks and merged with order-insensitive integer accumulation, so
 results are bit-identical no matter how many workers run or how the chunks
 are scheduled.
-
-``sample_waiting_time`` steps the prefix automaton one toss at a time
-instead, an independent route to the same waiting times.
 """
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
-from .counting import counts, transition_table
+# transition_table is unused here, but perfbench's self-test reads this binding.
+from .counting import counts, transition_table  # noqa: F401
 from .words import Word
 
 __all__ = [
@@ -32,7 +28,6 @@ __all__ = [
     "TrialConfig",
     "histogram_csv",
     "run_trials",
-    "sample_waiting_time",
     "summary_csv",
 ]
 
@@ -98,37 +93,6 @@ class EmpiricalSummary:
         """Empirical P(waiting time >= n); truncated trials count as large."""
         high = sum(c for t, c in self.histogram.items() if t >= n) + self.truncated
         return high / self.trials
-
-
-def _toss_bit(toss) -> int:
-    if isinstance(toss, str):
-        if toss in ("H", "h"):
-            return 1
-        if toss in ("T", "t"):
-            return 0
-        raise ValueError(f"invalid toss {toss!r}: expected H or T")
-    return 1 if toss else 0
-
-
-def sample_waiting_time(w: Word, tosses: Iterable, cap: int | None = None) -> int | None:
-    """Toss index at which ``w`` first completes, or None if it never does.
-
-    ``tosses`` may yield letters or bits (H = 1).  None signals truncation:
-    the stream ran out, or ``cap`` tosses passed without a completion.  At
-    most ``cap`` tosses are read.
-    """
-    if cap is not None:
-        if cap < 0:
-            raise ValueError(f"cap must be >= 0, got {cap}")
-        tosses = itertools.islice(tosses, cap)
-    table = transition_table(w)
-    full = len(w)
-    state = 0
-    for t, toss in enumerate(tosses, start=1):
-        state = table[state][_toss_bit(toss)]
-        if state == full:
-            return t
-    return None
 
 
 def _toss_block(seed: int, trial: np.ndarray, j: int) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "all_words",
     "brute_force_count",
     "enumeration_cap",
-    "first_occurrence_ends_at",
     "parse_word",
 ]
 
@@ -118,18 +117,6 @@ def parse_word(text: str) -> Word:
     return Word(text.upper())
 
 
-def first_occurrence_ends_at(outcome: str, w: Word) -> bool:
-    """True iff ``w`` first occurs in ``outcome`` ending exactly at the last toss.
-
-    An occurrence anywhere earlier disqualifies the string, and occurrences
-    may overlap (HH ends at positions 2 and 3 of HHH).
-    """
-    pattern = w.letters
-    if not outcome.endswith(pattern):
-        return False
-    return outcome.find(pattern) == len(outcome) - len(pattern)
-
-
 def enumeration_cap() -> int:
     """Current cap on brute-force toss counts (overridable via the environment)."""
     raw = os.environ.get(ENUMERATION_CAP_ENV)
@@ -146,24 +133,24 @@ def enumeration_cap() -> int:
     return cap
 
 
-def brute_force_count(w: Word, n: int, cap: int | None = None) -> int:
+def brute_force_count(w: Word, n: int) -> int:
     """Count length-``n`` outcome strings whose first occurrence of ``w`` ends at toss ``n``.
 
     Enumerates the 2**(n - k) outcomes that end in ``w`` (k = len(w)) as
     integers, in numpy blocks of at most ``_CHUNK`` prefixes, and counts those
     in which no earlier window equals ``w``.  The result is independent of the
     block partitioning, and this path is kept deliberately independent of the
-    recurrence and automaton engines so it can serve as their oracle.
+    recurrence and automaton engines so it can serve as their oracle.  Refuses
+    n above ``enumeration_cap()``.
     """
     if n < 1:
         raise ValueError(f"toss count must be >= 1, got {n}")
-    if cap is None:
-        cap = enumeration_cap()
+    cap = enumeration_cap()
     if n > cap:
         ending = f"the 2**{n - len(w)}" if n >= len(w) else "no"
         raise ValueError(
-            f"toss count {n} exceeds the enumeration cap {cap}; raise it explicitly or "
-            f"via {ENUMERATION_CAP_ENV} to enumerate {ending} strings that end in {w}"
+            f"toss count {n} exceeds the enumeration cap {cap}; raise it via "
+            f"{ENUMERATION_CAP_ENV} to enumerate {ending} strings that end in {w}"
         )
     if n > 62:
         raise ValueError("enumeration beyond 62 tosses is not supported")

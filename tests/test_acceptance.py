@@ -116,7 +116,7 @@ def test_criterion_5_truncation_identity():
 def test_criterion_6_certified_horizons():
     details = []
     for w in ESSENTIAL_WORDS:
-        model = solve_denominator(w, probe=70)
+        model = solve_denominator(w)
         assert model.reliability_horizon >= 50, f"{w}: {model.reliability_horizon}"
         for n in range(len(w), model.reliability_horizon + 1):
             assert secondary_term(model, n) < 0.5, f"{w} at n={n}"

@@ -165,7 +165,7 @@ class TestCertifyHorizon:
     @pytest.mark.parametrize("length", range(1, 9))
     def test_every_word_certifies_fifty_at_probe_70(self, length):
         for w in all_words(length):
-            model = solve_denominator(w, probe=70)
+            model = solve_denominator(w)
             assert model.reliability_horizon >= 50, w
 
     def test_double_precision_eventually_fails(self):

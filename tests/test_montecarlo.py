@@ -17,7 +17,6 @@ from coinwords.montecarlo import (
     _toss_block,
     histogram_csv,
     run_trials,
-    sample_waiting_time,
     summary_csv,
 )
 from coinwords.stats import moments, pmf, tail
@@ -57,45 +56,6 @@ def step_loop_chunk(cfg, lo, hi):
 def as_lists(chunk):
     values, cnts, truncated = chunk
     return values.tolist(), cnts.tolist(), truncated
-
-
-class TestSampleWaitingTime:
-    def test_trace_hh(self):
-        assert sample_waiting_time(Word("HH"), "THH") == 3
-
-    def test_trace_ht(self):
-        assert sample_waiting_time(Word("HT"), "HT") == 2
-
-    def test_all_tails_truncates(self):
-        assert sample_waiting_time(Word("HH"), "T" * 100, cap=100) is None
-
-    def test_exhausted_stream_truncates(self):
-        assert sample_waiting_time(Word("HHH"), "HH") is None
-
-    def test_accepts_bits(self):
-        assert sample_waiting_time(Word("HH"), [0, 1, 1]) == 3
-
-    def test_overlap_handled_by_automaton(self):
-        # HTH completing at toss 5 after a near miss
-        assert sample_waiting_time(Word("HTH"), "HTTHH") is None
-        assert sample_waiting_time(Word("HTH"), "THTH") == 4
-
-    def test_rejects_garbage_tosses(self):
-        with pytest.raises(ValueError):
-            sample_waiting_time(Word("HH"), "HX")
-
-    def test_zero_cap_reads_nothing(self):
-        tosses = iter("HHH")
-        assert sample_waiting_time(Word("H"), tosses, cap=0) is None
-        assert list(tosses) == ["H", "H", "H"]
-
-    def test_completion_at_the_cap_counts(self):
-        assert sample_waiting_time(Word("HH"), "THH", cap=3) == 3
-        assert sample_waiting_time(Word("HH"), "THH", cap=2) is None
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError, match="cap"):
-            sample_waiting_time(Word("H"), "H", cap=-1)
 
 
 class TestTrialConfig:
@@ -246,7 +206,7 @@ class TestRunTrials:
 
 class TestShiftAndScan:
     """``_run_chunk`` against the step loop it replaced, kept above as the
-    reference, and against ``sample_waiting_time`` on the decoded stream."""
+    reference."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_step_loop_at_block_edges(self, k):
@@ -284,19 +244,10 @@ class TestShiftAndScan:
         assert as_lists(_run_chunk(cfg, lo, lo + n)) == as_lists(step_loop_chunk(cfg, lo, lo + n))
 
     @pytest.mark.parametrize("letters, cap", [("HHH", 100), ("HTTH", 64), ("HHHHHHH", 300)])
-    def test_agrees_with_sample_waiting_time(self, letters, cap):
-        w = Word(letters)
-        cfg = TrialConfig(word=w, trials=64, seed=23, max_tosses_per_trial=cap)
+    def test_single_trials_match_step_loop(self, letters, cap):
+        cfg = TrialConfig(word=Word(letters), trials=64, seed=23, max_tosses_per_trial=cap)
         for i in range(64):
-            trial = np.array([i], dtype=np.uint64)
-            blocks = [int(_toss_block(cfg.seed, trial, j)[0]) for j in range(-(-cap // 64))]
-            bits = ((b >> r) & 1 for b in blocks for r in range(64))
-            expected = sample_waiting_time(w, bits, cap=cap)
-            values, cnts, truncated = as_lists(_run_chunk(cfg, i, i + 1))
-            if expected is None:
-                assert (values, truncated) == ([], 1)
-            else:
-                assert (values, cnts, truncated) == ([expected], [1], 0)
+            assert as_lists(_run_chunk(cfg, i, i + 1)) == as_lists(step_loop_chunk(cfg, i, i + 1)), i
 
 
 class TestCsv:

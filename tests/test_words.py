@@ -13,13 +13,18 @@ from coinwords.words import (
     all_words,
     brute_force_count,
     enumeration_cap,
-    first_occurrence_ends_at,
     parse_word,
 )
 
 words_st = st.lists(st.sampled_from("HT"), min_size=1, max_size=6).map(
     lambda ls: Word("".join(ls))
 )
+
+
+def first_occurrence_ends_at(outcome: str, w: Word) -> bool:
+    """True iff ``w`` first occurs in ``outcome`` ending exactly at the last toss."""
+    p = w.letters
+    return outcome.endswith(p) and outcome.find(p) == len(outcome) - len(p)
 
 
 def enumerate_count(w: Word, n: int) -> int:
@@ -64,20 +69,6 @@ class TestComplement:
         assert w.complement().complement() == w
 
 
-class TestFirstOccurrenceEndsAt:
-    def test_ends_at_last_toss(self):
-        assert first_occurrence_ends_at("THH", Word("HH"))
-
-    def test_earlier_overlapping_occurrence_disqualifies(self):
-        assert not first_occurrence_ends_at("HHH", Word("HH"))
-
-    def test_word_is_its_own_first_occurrence(self):
-        assert first_occurrence_ends_at("HT", Word("HT"))
-
-    def test_no_occurrence_at_all(self):
-        assert not first_occurrence_ends_at("TTT", Word("HH"))
-
-
 class TestBruteForce:
     @pytest.mark.parametrize(
         "word,n,expected", [("HT", 3, 2), ("HH", 1, 0), ("HTH", 7, 9)]
@@ -112,16 +103,20 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="enumeration cap"):
             brute_force_count(Word("HH"), DEFAULT_ENUMERATION_CAP + 1)
 
-    def test_explicit_cap_overrides_default(self):
+    def test_explicit_cap_overrides_default(self, monkeypatch):
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "5")
         with pytest.raises(ValueError, match="enumeration cap"):
-            brute_force_count(Word("HH"), 6, cap=5)
-        assert brute_force_count(Word("HH"), 6, cap=6) == 5
+            brute_force_count(Word("HH"), 6)
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "6")
+        assert brute_force_count(Word("HH"), 6) == 5
 
-    def test_cap_refusal_names_the_strings_it_would_enumerate(self):
+    def test_cap_refusal_names_the_strings_it_would_enumerate(self, monkeypatch):
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "5")
         with pytest.raises(ValueError, match=r"the 2\*\*7 strings that end in HTH$"):
-            brute_force_count(Word("HTH"), 10, cap=5)
+            brute_force_count(Word("HTH"), 10)
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "3")
         with pytest.raises(ValueError, match="enumerate no strings that end in HTHTHT$"):
-            brute_force_count(Word("HTHTHT"), 4, cap=3)
+            brute_force_count(Word("HTHTHT"), 4)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
