@@ -148,6 +148,14 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
+def _float(x: Fraction) -> float:
+    """``float(x)``, or inf where x is past float range (the variance from H**511 on)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return float("inf")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import montecarlo
 
@@ -164,10 +172,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         st = stats.moments(w)
         print(f"word={w} trials={summary.trials} seed={summary.seed} cap={cfg.max_tosses_per_trial}")
         print(f"completed={summary.count} truncated={summary.truncated}")
-        print(f"empirical_mean={summary.mean} exact_mean={st.mean} ({float(st.mean)})")
+        print(f"empirical_mean={summary.mean} exact_mean={st.mean} ({_float(st.mean)})")
         print(
             f"empirical_variance={summary.variance} "
-            f"exact_variance={st.variance} ({float(st.variance)})"
+            f"exact_variance={st.variance} ({_float(st.variance)})"
         )
     return 0
 

@@ -149,12 +149,24 @@ def moments(w: Word) -> WordStats:
 
     mean = sum 2**(k-i) and variance = mean**2 + mean - 2 sum (k-i) 2**(k-i),
     which is f'(1/2)/2 and f''(1/2)/4 + mean - mean**2 for the closed form f.
+    Once the variance passes float range (about 2**1024, from H**511 on), the
+    stddev is the integer square root rounded once to a float, and it is inf
+    once the root passes float range too, from about 1024 letters on.
     """
     k = len(w)
     shifts = _overlaps(w)
     mean = sum(1 << (k - i) for i in shifts)
     variance = mean * mean + mean - 2 * sum((k - i) << (k - i) for i in shifts)
-    return WordStats(Fraction(mean), Fraction(variance), math.sqrt(variance))
+    try:
+        stddev = math.sqrt(variance)
+    except OverflowError:
+        root = math.isqrt(variance)
+        try:
+            # a set low bit stands for the nonzero remainder, so ties round up
+            stddev = float(root | (root * root != variance))
+        except OverflowError:
+            stddev = math.inf
+    return WordStats(Fraction(mean), Fraction(variance), stddev)
 
 
 def _decay(w: Word) -> tuple[float, float]:

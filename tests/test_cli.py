@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from coinwords import stats, verify
+from coinwords import closedform, stats, verify
 from coinwords.cli import main
 from coinwords.counting import CountSequence, RecurrenceSpec
 from coinwords.verify import run_checks
@@ -151,6 +151,15 @@ class TestStats:
         assert code == 0
         assert "mean=20 variance=276" in out
 
+    @pytest.mark.parametrize("k", [510, 511, 1023, 1024, 2000])
+    @pytest.mark.parametrize("tail_letter", ["H", "T"])
+    def test_variance_past_float_range(self, capsys, k, tail_letter):
+        w = Word("H" + tail_letter * (k - 1))
+        code, out, _ = run_cli(capsys, "stats", w.letters)
+        st = stats.moments(w)
+        assert code == 0
+        assert out == f"word={w} mean={st.mean} variance={st.variance} stddev={st.stddev}\n"
+
 
 class TestTail:
     def test_text_exact_and_float(self, capsys):
@@ -221,6 +230,16 @@ class TestSimulate:
         assert "exact_mean=20 " in out
         assert "exact_variance=276 " in out
 
+    def test_text_past_float_range(self, capsys):
+        # H^511's variance is above 2**1024: its float shows as inf
+        code, out, _ = run_cli(capsys, "simulate", "H" * 511, "--trials", "200")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "completed=0 truncated=200",
+            f"empirical_mean=nan exact_mean={2**512 - 2} ({float(2**512 - 2)})",
+            f"empirical_variance=nan exact_variance={stats.moments(Word('H' * 511)).variance} (inf)",
+        ]
+
     def test_csv_blocks_parse(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "HT", "--trials", "10000", "--seed", "1",
@@ -285,7 +304,8 @@ class TestVerifyCommand:
             "of lengths 1-8, m = max(2, k-1)..12",
             "PASS rounding-slack: discarded term stays below 1/2 from n = len(w) across "
             "every certified range",
-            "PASS root-residuals: all residuals <= 1e-12, conjugate pairs intact",
+            "PASS root-residuals: the roots, x = 1 included, rebuild the coefficients of D "
+            "to 1e-12 for 6 words",
             "PASS root-formula: partial-fraction sum over the roots of D rounds to the "
             "exact counts for 9 words of lengths 1-8, n <= 30",
             "PASS moment-sums: truncated moment sums (n <= 400) match the exact moments "
@@ -425,6 +445,29 @@ class TestNegativeControl:
         passed, detail = verify._check_tail_routes(64)
         assert not passed
         assert detail == "HH at n=4: the automaton gives b(3) = 5, term-by-term gives 4"
+
+    @pytest.mark.parametrize(
+        "mangle, detail",
+        [
+            # the smallest real root: x = 1 of HT's double root
+            (lambda roots: roots[1:], "HT: D has degree 2, the model 1 roots"),
+            # one member of a conjugate pair; HHH is the first word that has one
+            (
+                lambda roots: roots[:-1] if roots[-1][0].imag else roots,
+                "HHH: D has degree 3, the model 2 roots",
+            ),
+            # a root in place of another: every residual stays tiny
+            (
+                lambda roots: roots[:1] * 2 if len(roots) == 2 else roots,
+                "HH: the roots rebuild D only to within 2.24e+00",
+            ),
+        ],
+        ids=["real-root-dropped", "conjugate-dropped", "root-repeated"],
+    )
+    def test_lost_or_repeated_root_fails_root_residuals(self, monkeypatch, mangle, detail):
+        exact = closedform._ordered
+        monkeypatch.setattr(closedform, "_ordered", lambda poles: mangle(exact(poles)))
+        assert verify._check_roots() == (False, detail)
 
 
 class TestExitCodes:

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import re
@@ -246,6 +247,18 @@ class TestMoments:
     def test_stddev_squares_back(self, letters):
         st_ = moments(Word(letters))
         assert st_.stddev**2 == pytest.approx(float(st_.variance), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [510, 511, 512, 1022, 1023, 1024, 2000])
+    @pytest.mark.parametrize("tail_letter", ["H", "T"])
+    def test_stddev_past_float_range(self, k, tail_letter):
+        # The variance of H^k passes 2**1024 at k = 511 and its root at k = 1023;
+        # those of H T^(k-1) one letter later.
+        st_ = moments(Word("H" + tail_letter * (k - 1)))
+        with decimal.localcontext(prec=50):
+            assert st_.stddev == float(decimal.Decimal(int(st_.variance)).sqrt())
+        if st_.variance < 2**1023:
+            assert st_.stddev == math.sqrt(st_.variance)
+        assert math.isinf(st_.stddev) == (k >= (1023 if tail_letter == "H" else 1024))
 
     @pytest.mark.parametrize("letters", ESSENTIAL)
     def test_truncated_sums_converge_to_moments(self, letters):
