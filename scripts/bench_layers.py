@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline 1721da2 --repeats 21   # writes BENCH_15.json
+    python scripts/bench_layers.py --baseline ecc06a6 --repeats 21   # writes BENCH_16.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -22,8 +22,11 @@ milliseconds read as microseconds per operation.  Two kinds of rows:
 
 The trees are the working tree and, with --baseline, the given git
 revision, exported with ``git archive`` into a temporary directory.  They
-take turns case by case (see ``_time_trees``).  The file records the core
-count and the Python and numpy versions next to the rows.
+take turns case by case (see ``_time_trees``), so with --baseline each row
+also pairs the two trees round by round: the quartiles of the per-round
+ratio baseline/current, and the rounds in which the current tree was
+faster (see ``_paired``).  The file records the core count and the Python
+and numpy versions next to the rows.
 """
 
 import argparse
@@ -206,8 +209,20 @@ def _quartiles(values: list) -> tuple:
     return tuple(float(f"{q:.3g}") for q in qs)
 
 
+def _paired(baseline: list, current: list) -> dict:
+    """The two trees' timings of one case, round by round: quartiles of the
+    ratio baseline/current (above 1 where the current tree is faster) and the
+    number of rounds in which the current tree was faster."""
+    q1, median, q3 = _quartiles([b / c for b, c in zip(baseline, current)])
+    return {
+        "paired_speedup": median,
+        "paired_speedup_iqr": [q1, q3],
+        "current_wins": sum(c < b for b, c in zip(baseline, current)),
+    }
+
+
 def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
-    """({tree label: {case: (Q1, median, Q3) ms}}, numpy version).
+    """({tree label: {case: [ms of each round]}}, numpy version).
 
     Each round starts one timing interpreter per tree and asks both for
     every warm case, then runs every cold case in both trees.  The trees
@@ -232,10 +247,7 @@ def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
         for i, (name, argv) in enumerate(COLD.items(), start=len(warm)):
             for label in labels if (r + i) % 2 == 0 else labels[::-1]:
                 times[label].setdefault(name, []).append(_time_cold(trees[label], argv))
-    return {
-        label: {name: _quartiles(v) for name, v in rows.items()}
-        for label, rows in times.items()
-    }, hello[labels[0]]["numpy"]
+    return times, hello[labels[0]]["numpy"]
 
 
 def _git(*args: str) -> str:
@@ -247,7 +259,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_15.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_16.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:
@@ -262,7 +274,7 @@ def main() -> None:
             ).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
             trees["baseline"] = os.path.join(tmp, "src")
-        quartiles, numpy_version = _time_trees(trees, args.repeats)
+        times, numpy_version = _time_trees(trees, args.repeats)
     report = {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
@@ -273,16 +285,17 @@ def main() -> None:
         "current": "working tree",
         "rows": {},
     }
-    for name in quartiles["current"]:
+    for name in times["current"]:
         row = report["rows"][name] = {}
-        for label, cases in quartiles.items():
-            q1, median, q3 = cases[name]
+        for label, cases in times.items():
+            q1, median, q3 = _quartiles(cases[name])
             row[f"{label}_ms"] = median
             row[f"{label}_iqr_ms"] = [q1, q3]
     if args.baseline:
         report["baseline"] = _git("rev-parse", "--short", args.baseline)
-        for row in report["rows"].values():
+        for name, row in report["rows"].items():
             row["speedup"] = round(row["baseline_ms"] / row["current_ms"], 2)
+            row.update(_paired(times["baseline"][name], times["current"][name]))
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

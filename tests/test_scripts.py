@@ -33,6 +33,17 @@ def test_simulate_check():
     assert len(proc.stdout.strip().splitlines()) >= 8
 
 
+def test_bench_layers_pairs_rounds():
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        import bench_layers
+    finally:
+        sys.path.pop(0)
+    # the current tree wins rounds 1, 2 and 4, and ties round 3
+    row = bench_layers._paired([2.0, 3.0, 1.0, 4.0, 1.0], [1.0, 1.0, 1.0, 2.0, 2.0])
+    assert row == {"paired_speedup": 2.0, "paired_speedup_iqr": [1.0, 2.0], "current_wins": 3}
+
+
 def test_bench_layers(tmp_path):
     out = tmp_path / "bench.json"
     proc = run_script("bench_layers.py", "--repeats", "1", "--out", str(out))
