@@ -162,7 +162,8 @@ def moments(w: Word) -> WordStats:
     except OverflowError:
         root = math.isqrt(variance)
         try:
-            # a set low bit stands for the nonzero remainder, so ties round up
+            # a set low bit stands for a nonzero remainder, so a root just
+            # above a tie between two floats rounds up, as it should
             stddev = float(root | (root * root != variance))
         except OverflowError:
             stddev = math.inf
