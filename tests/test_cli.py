@@ -450,21 +450,22 @@ class TestNegativeControl:
         "mangle, detail",
         [
             # the smallest real root: x = 1 of HT's double root
-            (lambda roots: roots[1:], "HT: D has degree 2, the model 1 roots"),
+            (lambda pairs: pairs[1:], "HT: D has degree 2, the model 1 roots"),
             # one member of a conjugate pair; HHH is the first word that has one
             (
-                lambda roots: roots[:-1] if roots[-1][0].imag else roots,
+                lambda pairs: pairs[:-1] if pairs[-1][0].imag else pairs,
                 "HHH: D has degree 3, the model 2 roots",
             ),
             # a root in place of another: every residual stays tiny
             (
-                lambda roots: roots[:1] * 2 if len(roots) == 2 else roots,
+                lambda pairs: pairs[:1] * 2 if len(pairs) == 2 else pairs,
                 "HH: the roots rebuild D only to within 2.24e+00",
             ),
         ],
         ids=["real-root-dropped", "conjugate-dropped", "root-repeated"],
     )
     def test_lost_or_repeated_root_fails_root_residuals(self, monkeypatch, mangle, detail):
+        # _ordered returns the model's (root, weight) pairs
         exact = closedform._ordered
         monkeypatch.setattr(closedform, "_ordered", lambda poles: mangle(exact(poles)))
         assert verify._check_roots() == (False, detail)
