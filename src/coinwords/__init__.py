@@ -45,7 +45,6 @@ from .words import (
     Word,
     all_words,
     brute_force_count,
-    enumeration_cap,
     parse_word,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "closed_gf",
     "closed_tail",
     "counts",
-    "enumeration_cap",
     "extend_counts",
     "finite_gf",
     "moments",

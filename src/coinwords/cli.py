@@ -207,11 +207,7 @@ def build_parser() -> _Parser:
     _add_word_args(p)
     p.add_argument("value_pos", nargs="?", type=int, metavar="N_MAX")
     p.add_argument("--n-max", dest="value_flag", type=int, metavar="N_MAX")
-    p.add_argument(
-        "--engine",
-        choices=("auto", "recurrence", "automaton", "brute"),
-        default="auto",
-    )
+    p.add_argument("--engine", choices=("recurrence", "automaton", "brute"), default="recurrence")
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.set_defaults(func=_cmd_counts)
 

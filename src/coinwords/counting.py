@@ -20,8 +20,7 @@ program over the prefix-match states of the pattern automaton counts the
 same sequence.  All arithmetic uses Python's unbounded integers.
 """
 
-from .words import ENUMERATION_CAP_ENV, Word, _Record, _set_field
-from .words import brute_force_count, enumeration_cap
+from .words import Word, _Record, _set_field, brute_force_count
 
 __all__ = [
     "ESSENTIAL_WORDS",
@@ -211,7 +210,7 @@ def automaton_counts(w: Word, n_max: int) -> CountSequence:
     popping that slot counts the paths that just completed once and removes
     them, which is exactly the first-occurrence condition.  Agrees with
     brute_force_count for every word and toss count, with no enumeration
-    cap.
+    limit.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -228,27 +227,22 @@ def automaton_counts(w: Word, n_max: int) -> CountSequence:
     return CountSequence(tuple(values))
 
 
-def counts(w: Word, n_max: int, engine: str = "auto") -> CountSequence:
+def counts(w: Word, n_max: int, engine: str = "recurrence") -> CountSequence:
     """Counts for ``w`` up to ``n_max`` using the requested engine.
 
-    ``auto`` is the recurrence, which covers every pattern.  ``brute`` is
-    capped (see words.enumeration_cap) and intended for cross-validation.
+    ``recurrence`` and ``automaton`` cover every pattern.  ``brute`` is the
+    enumeration oracle, for cross-validation: it enumerates n_max first, so
+    an n_max past ``brute_force_count``'s limit is refused before any other
+    enumeration.
     """
-    if engine in ("auto", "recurrence"):
+    if engine == "recurrence":
         return extend_counts(builtin_spec(w), n_max)
     if engine == "automaton":
         return automaton_counts(w, n_max)
     if engine == "brute":
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
-        cap = enumeration_cap()
-        if n_max > cap:
-            raise ValueError(
-                f"n_max {n_max} exceeds the enumeration cap {cap} of the brute engine; "
-                f"raise {ENUMERATION_CAP_ENV} or use another engine"
-            )
-        values = tuple(brute_force_count(w, n) for n in range(1, n_max + 1))
-        return CountSequence(values)
-    raise ValueError(
-        f"unknown engine {engine!r}: expected auto, recurrence, automaton, or brute"
-    )
+        last = brute_force_count(w, n_max)  # the largest enumeration: refused first
+        values = [brute_force_count(w, n) for n in range(1, n_max)]
+        return CountSequence((*values, last))
+    raise ValueError(f"unknown engine {engine!r}: expected recurrence, automaton, or brute")

@@ -6,28 +6,22 @@ and T = bit 0, first toss in the most significant position, so substring
 tests reduce to shifts and masks.  A record in which a word first appears at
 the last toss ends in that word, so the oracle enumerates only those records:
 every prefix of the other n - k tosses, followed by the word's k letters.
+Its limit counts those strings, at most 2**22 of them, and records of at
+most 62 tosses, which fit an int64.
 """
 
 import itertools
 import operator
-import os
 from typing import Iterator
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
-    "ENUMERATION_CAP_ENV",
     "Word",
     "all_words",
     "brute_force_count",
-    "enumeration_cap",
     "parse_word",
 ]
 
-DEFAULT_ENUMERATION_CAP = 24
-ENUMERATION_CAP_ENV = "COINWORDS_ENUM_CAP"
-
 _COMPLEMENT = str.maketrans("HT", "TH")
-_CHUNK = 1 << 22  # prefixes per numpy block
 
 
 # Sets a field of a record in its __init__, past the refusing __setattr__.
@@ -117,64 +111,42 @@ def parse_word(text: str) -> Word:
     return Word(text.upper())
 
 
-def enumeration_cap() -> int:
-    """Current cap on brute-force toss counts (overridable via the environment)."""
-    raw = os.environ.get(ENUMERATION_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENUMERATION_CAP_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if cap < 1:
-        raise ValueError(f"{ENUMERATION_CAP_ENV} must be positive, got {cap}")
-    return cap
-
-
 def brute_force_count(w: Word, n: int) -> int:
     """Count length-``n`` outcome strings whose first occurrence of ``w`` ends at toss ``n``.
 
     Enumerates the 2**(n - k) outcomes that end in ``w`` (k = len(w)) as
-    integers, in numpy blocks of at most ``_CHUNK`` prefixes, and counts those
-    in which no earlier window equals ``w``.  The result is independent of the
-    block partitioning, and this path is kept deliberately independent of the
-    recurrence and automaton engines so it can serve as their oracle.  Refuses
-    n above ``enumeration_cap()``.
+    integers in one numpy array, and counts those in which no earlier window
+    equals ``w``.  This path is kept deliberately independent of the
+    recurrence and automaton engines so it can serve as their oracle.  It
+    answers 0 for n < k, where there is no such outcome, and refuses more
+    than 2**22 outcomes (one array of about 72 MiB at the limit) or n above
+    62, past which a record does not fit an int64.
     """
     if n < 1:
         raise ValueError(f"toss count must be >= 1, got {n}")
-    cap = enumeration_cap()
-    if n > cap:
-        ending = f"the 2**{n - len(w)}" if n >= len(w) else "no"
-        raise ValueError(
-            f"toss count {n} exceeds the enumeration cap {cap}; raise it via "
-            f"{ENUMERATION_CAP_ENV} to enumerate {ending} strings that end in {w}"
-        )
-    if n > 62:
-        raise ValueError("enumeration beyond 62 tosses is not supported")
-    import numpy as np  # here, not at module level: the exact layers never load it
-
     size = len(w)
     if n < size:
         return 0
+    if n - size > 22:
+        raise ValueError(
+            f"toss count {n} would enumerate the 2**{n - size} strings that end in {w}, "
+            "past the enumeration limit of 2**22"
+        )
+    if n > 62:
+        raise ValueError(f"toss count {n} is past the enumeration limit of 62 tosses")
+    import numpy as np  # here, not at module level: the exact layers never load it
+
     wbits = w.bits()
     mask = (1 << size) - 1
-    prefixes = 1 << (n - size)
-    total = 0
-    for lo in range(0, prefixes, _CHUNK):
-        hi = min(lo + _CHUNK, prefixes)
-        xs = (np.arange(lo, hi, dtype=np.int64) << size) | wbits
-        win = np.empty_like(xs)
-        ok = np.ones(hi - lo, dtype=bool)
-        # window ending at toss p < n sits at shift n - p
-        for shift in range(1, n - size + 1):
-            np.right_shift(xs, shift, out=win)
-            np.bitwise_and(win, mask, out=win)
-            ok &= win != wbits
-        total += int(np.count_nonzero(ok))
-    return total
+    xs = (np.arange(1 << (n - size), dtype=np.int64) << size) | wbits
+    win = np.empty_like(xs)
+    ok = np.ones(xs.size, dtype=bool)
+    # window ending at toss p < n sits at shift n - p
+    for shift in range(1, n - size + 1):
+        np.right_shift(xs, shift, out=win)
+        np.bitwise_and(win, mask, out=win)
+        ok &= win != wbits
+    return int(np.count_nonzero(ok))
 
 
 def all_words(length: int) -> Iterator[Word]:

@@ -60,20 +60,13 @@ class TestCounts:
         assert code == 2
         assert "'X' at position 2" in err
 
-    def test_env_cap_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("COINWORDS_ENUM_CAP", "8")
-        code, _, err = run_cli(capsys, "counts", "HH", "9", "--engine", "brute")
-        assert code == 2
-        assert "enumeration cap 8" in err
-
-    def test_brute_refuses_n_max_past_cap_before_enumerating(self, capsys, monkeypatch):
-        monkeypatch.delenv("COINWORDS_ENUM_CAP", raising=False)
+    def test_brute_refuses_n_max_past_cap_before_enumerating(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "counts", "HTH", "70", "--engine", "brute")
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert err.count("\n") == 1
-        assert "n_max 70 exceeds the enumeration cap 24" in err
+        assert "toss count 70 would enumerate the 2**67 strings that end in HTH" in err
 
     def test_brute_refuses_zero_n_max_like_other_engines(self, capsys):
         for engine in ("recurrence", "automaton", "brute"):

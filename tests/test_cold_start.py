@@ -114,7 +114,7 @@ def test_every_export_is_its_home_object():
         "    assert value is getattr(homes[name], name), name\n"
         "print(len(coinwords.__all__))\n"
     )
-    assert int(out) == 37
+    assert int(out) == 36
 
 
 def test_star_import_binds_all():

@@ -305,7 +305,7 @@ class TestCountsDispatch:
     def test_engines_by_name(self):
         w = Word("HH")
         assert counts(w, 8, "recurrence").values == counts(w, 8, "automaton").values
-        assert counts(w, 8, "brute").values == counts(w, 8, "auto").values
+        assert counts(w, 8, "brute").values == counts(w, 8).values
 
     def test_auto_takes_recurrence_for_long_words(self):
         w = Word("HTHT")
@@ -314,15 +314,19 @@ class TestCountsDispatch:
         assert seq.values == automaton_counts(w, 40).values
 
     def test_brute_checks_n_max_before_enumerating(self, monkeypatch):
-        def enumerate_anyway(w, n):
-            raise AssertionError(f"enumerated n = {n}")
+        calls = []
 
-        monkeypatch.delenv("COINWORDS_ENUM_CAP", raising=False)
-        monkeypatch.setattr(counting, "brute_force_count", enumerate_anyway)
-        with pytest.raises(ValueError, match="n_max 70 exceeds the enumeration cap 24"):
+        def recorded(w, n):
+            calls.append(n)
+            return brute_force_count(w, n)
+
+        monkeypatch.setattr(counting, "brute_force_count", recorded)
+        with pytest.raises(ValueError, match=r"toss count 70 would enumerate the 2\*\*67 strings"):
             counts(Word("HTH"), 70, "brute")
+        assert calls == [70]
         with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
             counts(Word("HTH"), 0, "brute")
+        assert calls == [70]
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -4,17 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwords import words
 from coinwords.counting import automaton_counts
-from coinwords.words import (
-    DEFAULT_ENUMERATION_CAP,
-    ENUMERATION_CAP_ENV,
-    Word,
-    all_words,
-    brute_force_count,
-    enumeration_cap,
-    parse_word,
-)
+from coinwords.words import Word, all_words, brute_force_count, parse_word
 
 words_st = st.lists(st.sampled_from("HT"), min_size=1, max_size=6).map(
     lambda ls: Word("".join(ls))
@@ -90,48 +81,38 @@ class TestBruteForce:
             auto = automaton_counts(w, 16)
             assert [brute_force_count(w, n) for n in range(1, 17)] == list(auto.values), w
 
-    def test_small_chunks_give_the_same_counts(self, monkeypatch):
-        expected = {
-            (w, n): brute_force_count(w, n)
-            for w in map(Word, ("H", "HT", "HTH", "HHTH"))
-            for n in range(12, 17)
-        }
-        monkeypatch.setattr(words, "_CHUNK", 8)  # 2**(n - k) / 8 prefix blocks each
-        assert {key: brute_force_count(*key) for key in expected} == expected
+    @pytest.mark.parametrize("letters,n", [("HT", 24), ("HHTHTTHHTH", 32)])
+    def test_largest_enumeration_matches_automaton(self, letters, n):
+        # 2**22 strings, the most the oracle enumerates
+        w = Word(letters)
+        assert brute_force_count(w, n) == automaton_counts(w, n).at(n)
 
     def test_rejects_above_cap(self):
-        with pytest.raises(ValueError, match="enumeration cap"):
-            brute_force_count(Word("HH"), DEFAULT_ENUMERATION_CAP + 1)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            brute_force_count(Word("HH"), 25)
 
-    def test_explicit_cap_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(ENUMERATION_CAP_ENV, "5")
-        with pytest.raises(ValueError, match="enumeration cap"):
-            brute_force_count(Word("HH"), 6)
-        monkeypatch.setenv(ENUMERATION_CAP_ENV, "6")
-        assert brute_force_count(Word("HH"), 6) == 5
+    @pytest.mark.parametrize(
+        "letters,n,limit",
+        [("H", 24, r"limit of 2\*\*22$"), ("T", 24, r"limit of 2\*\*22$"),
+         ("H" * 50, 63, "limit of 62 tosses$")],
+        ids=["H-24", "T-24", "H^50-63"],
+    )
+    def test_refusal_names_the_limit(self, letters, n, limit):
+        with pytest.raises(ValueError, match=limit):
+            brute_force_count(Word(letters), n)
 
-    def test_cap_refusal_names_the_strings_it_would_enumerate(self, monkeypatch):
-        monkeypatch.setenv(ENUMERATION_CAP_ENV, "5")
-        with pytest.raises(ValueError, match=r"the 2\*\*7 strings that end in HTH$"):
-            brute_force_count(Word("HTH"), 10)
-        monkeypatch.setenv(ENUMERATION_CAP_ENV, "3")
-        with pytest.raises(ValueError, match="enumerate no strings that end in HTHTHT$"):
-            brute_force_count(Word("HTHTHT"), 4)
+    def test_below_the_word_length_answers_zero_past_any_limit(self):
+        assert brute_force_count(Word("H" * 30), 25) == 0
+
+    def test_cap_refusal_names_the_strings_it_would_enumerate(self):
+        assert brute_force_count(Word("HTH"), 10) == 49
+        assert brute_force_count(Word("HTHTHT"), 4) == 0
+        with pytest.raises(ValueError, match=r"the 2\*\*23 strings that end in HTH, "):
+            brute_force_count(Word("HTH"), 26)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             brute_force_count(Word("HH"), 0)
-
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv(ENUMERATION_CAP_ENV, "5")
-        assert enumeration_cap() == 5
-        with pytest.raises(ValueError, match="enumeration cap 5"):
-            brute_force_count(Word("HH"), 6)
-
-    def test_env_cap_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(ENUMERATION_CAP_ENV, "lots")
-        with pytest.raises(ValueError):
-            enumeration_cap()
 
 
 class TestCountInvariants:
