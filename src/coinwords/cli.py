@@ -139,12 +139,22 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         raise _UsageError(f"Q must be a fraction or decimal, got {text!r}") from None
     n = stats.threshold(w, q)
     value = stats.tail(w, n)
-    if args.format == "csv":
-        print("word,q,N,tail_exact_num,tail_exact_den,tail_float")
-        frac = value.as_fraction()
-        print(f"{w},{q},{n},{frac.numerator},{frac.denominator},{float(value)}")
-    else:
-        print(f"N={n} tail={value} ({float(value)})")
+    # Python >= 3.11 prints no int past 4300 digits.  An answer has n <= 100001,
+    # so the tail's 2**(n-1) has at most 30103 digits: lift the limit to print it.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "csv":
+            print("word,q,N,tail_exact_num,tail_exact_den,tail_float")
+            frac = value.as_fraction()
+            print(f"{w},{q},{n},{frac.numerator},{frac.denominator},{float(value)}")
+        else:
+            print(f"N={n} tail={value} ({float(value)})")
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

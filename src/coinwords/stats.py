@@ -220,6 +220,21 @@ def _ln_ratio(x: int, y: int) -> float:
     return math.log(x) - math.log(y)
 
 
+def _quantile_text(q: Fraction) -> str:
+    """q for a message: exact while its numerator and denominator have at
+    most 4300 digits (all that Python >= 3.11 prints by default), else
+    "about" q to 3 significant digits, so that a refusal always prints."""
+    num, den = abs(q.numerator), q.denominator
+    if num < 10**4300 > den:
+        return str(q)
+    log10 = math.log10(num) - math.log10(den)
+    exponent = math.floor(log10)
+    mantissa = f"{10 ** (log10 - exponent):.3g}"
+    if mantissa == "10":
+        mantissa, exponent = "1", exponent + 1
+    return f"about {'-' * (q < 0)}{mantissa}e{exponent}"
+
+
 def threshold(w: Word, q: Fraction | float | str) -> int:
     """Smallest n with tail(w, n) <= q, for 0 < q <= 1.
 
@@ -238,7 +253,7 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
     """
     q = Fraction(q)
     if not 0 < q <= 1:
-        raise ValueError(f"quantile must satisfy 0 < q <= 1, got {q}")
+        raise ValueError(f"quantile must satisfy 0 < q <= 1, got {_quantile_text(q)}")
     if q == 1:
         return 1
     spec = _avoidance_spec(w)
@@ -272,7 +287,7 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
             hi = n - 1
         n = next_n
     raise ValueError(
-        f"threshold of {w} at q = {q} lies past the limit n = {_THRESHOLD_LIMIT}"
+        f"threshold of {w} at q = {_quantile_text(q)} lies past the limit n = {_THRESHOLD_LIMIT}"
         f" (the decay model puts it near n = {1 + (ln_a - ln_q) / ln_rate:.3g})"
     )
 

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -16,6 +18,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def int_digits_unlimited():
+    """Lift Python's limit on int <-> str conversion (3.11+) for the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestCounts:
@@ -194,6 +210,39 @@ class TestThreshold:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "0 < q <= 1" in err
+
+    def test_answer_past_4300_digits_prints_in_text(self, capsys):
+        # the README's example: the tail at N = 28158 has 8477-digit terms
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, "threshold", "HHHHHHHHHH", "1e-6")
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        n, value, approx = re.fullmatch(r"N=(\d+) tail=(\d+/\d+) \((.+)\)\n", out).groups()
+        w = Word("HHHHHHHHHH")
+        assert int(n) == 28158 == stats.threshold(w, Fraction("1e-6"))
+        with int_digits_unlimited():
+            assert Fraction(value) == stats.tail(w, 28158).as_fraction()
+        assert float(approx) == float(stats.tail(w, 28158))
+
+    def test_answer_past_4300_digits_prints_in_csv(self, capsys):
+        code, out, err = run_cli(capsys, "threshold", "HH", "1e-5000", "--format", "csv")
+        assert (code, err) == (0, "")
+        header, row = out.splitlines()
+        assert header == "word,q,N,tail_exact_num,tail_exact_den,tail_float"
+        word, q, n, num, den, approx = row.split(",")
+        assert (word, int(n)) == ("HH", stats.threshold(Word("HH"), Fraction("1e-5000")))
+        with int_digits_unlimited():
+            assert Fraction(q) == Fraction("1e-5000")
+            assert Fraction(int(num), int(den)) == stats.tail(Word("HH"), int(n)).as_fraction()
+        assert float(approx) == float(stats.tail(Word("HH"), int(n)))
+
+    def test_refusal_of_a_q_past_4300_digits_names_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, "threshold", "HTH", "1e-300000")
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "coinwords: error: threshold of HTH at q = about 1e-300000 lies past the limit n = 100000 "
+        )
+        assert len(err.splitlines()) == 1
 
     def test_past_the_scan_limit_is_domain_error(self, capsys, monkeypatch):
         monkeypatch.setattr(stats, "_THRESHOLD_LIMIT", 50)

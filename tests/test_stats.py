@@ -316,6 +316,30 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold(Word("HH"), Fraction(3, 2))
 
+    @pytest.mark.parametrize(
+        "letters,q,message",
+        [
+            ("HTH", Fraction(1, 10**300000),
+             "threshold of HTH at q = about 1e-300000 lies past the limit n = 100000 "),
+            ("HHH", Fraction(1, 10**4500),
+             "threshold of HHH at q = about 1e-4500 lies past the limit n = 100000 "),
+            ("HH", Fraction(10**4500), "quantile must satisfy 0 < q <= 1, got about 1e4500"),
+            ("HH", Fraction(-2, 3 * 10**4400),
+             "quantile must satisfy 0 < q <= 1, got about -6.67e-4401"),
+        ],
+        ids=["HTH-1e-300000", "HHH-1e-4500", "HH-1e4500", "HH--6.67e-4401"],
+    )
+    def test_refusal_of_a_q_past_4300_digits_names_its_bound(self, letters, q, message):
+        # str(q) would raise Python's own digit-limit error from inside the message
+        with pytest.raises(ValueError) as info:
+            threshold(Word(letters), q)
+        assert str(info.value).startswith(message)
+
+    def test_refusal_prints_a_q_of_4300_digits_exactly(self):
+        q = Fraction(1, 10**4299)
+        with pytest.raises(ValueError, match=f"at q = {q} lies past the limit n = 100000"):
+            threshold(Word("HHH"), q)
+
 
 def fraction_scan_threshold(w, q):
     """The partial-sum scan over Fraction pmf values that threshold replaced."""
