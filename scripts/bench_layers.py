@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline ecc06a6 --repeats 21   # writes BENCH_16.json
+    python scripts/bench_layers.py --baseline 06205d8 --repeats 21   # writes BENCH_17.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -74,6 +74,8 @@ def _cases() -> dict:
     cases = {
         "extend_counts HTH n=20000": lambda: extend_counts(builtin_spec(hth), 20000),
         "brute_force_count HTH n=22": lambda: brute_force_count(hth, 22),
+        # 2**22 strings: the oracle's largest enumeration
+        "brute_force_count HT n=24": lambda: brute_force_count(Word("HT"), 24),
         "brute_force_count HT n=15": lambda: brute_force_count(Word("HT"), 15),
         "brute_force_count HHTHTTHHTH n=20": lambda: brute_force_count(Word("HHTHTTHHTH"), 20),
         "counts HTH n=14 engine=brute": lambda: counts(hth, 14, "brute"),
@@ -259,7 +261,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_16.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_17.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

@@ -236,8 +236,8 @@ def run_checks(depth: str = "quick") -> list[CheckResult]:
     """Run the whole suite; ``depth`` is 'quick' or 'full'.
 
     Full mode pushes the enumeration oracle to n = 20 and widens the
-    complement sweep.  On a 2-core Intel Xeon, quick mode takes 89 ms and
-    full mode 0.19 s (medians of 21 rounds, ``BENCH_13.json``).  Each result
+    complement sweep.  On a 2-core Intel Xeon, quick mode takes 54.5 ms and
+    full mode 168 ms (medians of 21 rounds, ``BENCH_16.json``).  Each result
     carries the wall time of its check in ``seconds``.
     """
     if depth not in ("quick", "full"):

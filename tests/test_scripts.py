@@ -60,7 +60,8 @@ def test_bench_layers(tmp_path):
         "verify normalization m<=200", "threshold HHHHHHHHHH q=1e-6",
         "threshold HTHTHTHTHT q=1e-6", "threshold HTH q=1/10",
         "threshold HHHHHHHHHHHHHHHHHHHH q=1/2 refusal", "threshold H T^63 q=1/2 refusal",
-        "brute_force_count HT n=15", "brute_force_count HHTHTTHHTH n=20",
+        "brute_force_count HT n=24", "brute_force_count HT n=15",
+        "brute_force_count HHTHTTHHTH n=20",
         "counts HTH n=14 engine=brute", "verify engine-agreement n<=20",
         "tail HTH n=64", "tail HTHTTHHTHT n=64", "cdf HTH m=2",
         "transition_table HTHTTHHTHT", "automaton_counts HTH n=64",
