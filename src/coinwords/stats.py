@@ -225,7 +225,8 @@ def _quantile_text(q: Fraction) -> str:
     most 4300 digits (all that Python >= 3.11 prints by default), else
     "about" q to 3 significant digits, so that a refusal always prints."""
     num, den = abs(q.numerator), q.denominator
-    if num < 10**4300 > den:
+    # fewer than 14285 bits means below 10**4300, so the power is built only for longer q
+    if num.bit_length() < 14285 > den.bit_length() or num < 10**4300 > den:
         return str(q)
     log10 = math.log10(num) - math.log10(den)
     exponent = math.floor(log10)

@@ -336,7 +336,7 @@ class TestThreshold:
         assert str(info.value).startswith(message)
 
     def test_refusal_prints_a_q_of_4300_digits_exactly(self):
-        q = Fraction(1, 10**4299)
+        q = Fraction(1, 10**4300 - 1)  # 14285 bits, as many as 10**4300 has
         with pytest.raises(ValueError, match=f"at q = {q} lies past the limit n = 100000"):
             threshold(Word("HHH"), q)
 
