@@ -11,8 +11,10 @@ import argparse
 import sys
 from fractions import Fraction
 
-# montecarlo and verify load numpy, so only the commands that use them import them.
-from . import genfun, stats
+# Each command loads only the modules it uses: genfun, montecarlo and verify
+# (the last two load numpy) are imported inside the one command that calls
+# them.  stats stays here, where perfbench's self-test reads ``cli.stats``.
+from . import stats
 from .counting import builtin_spec, counts
 from .words import Word, parse_word
 
@@ -99,6 +101,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
+    from . import genfun
+
     w = _resolve_word(args)
     m = args.m
     partial = genfun.finite_gf(w, m)
@@ -133,19 +137,20 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     w, text = _word_and_value(args, "--q", "a quantile")
-    try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
-        raise _UsageError(f"Q must be a fraction or decimal, got {text!r}") from None
-    n = stats.threshold(w, q)
-    value = stats.tail(w, n)
-    # Python >= 3.11 prints no int past 4300 digits.  An answer has n <= 100001,
-    # so the tail's 2**(n-1) has at most 30103 digits: lift the limit to print it.
+    # Python >= 3.11 parses and prints no int past 4300 digits.  An answer has
+    # n <= 100001, so the tail's 2**(n-1) has at most 30103 digits: lift the
+    # limit to read Q and to print the answer, and restore it after.
     lift = hasattr(sys, "set_int_max_str_digits")
     if lift:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
+        try:
+            q = Fraction(text)
+        except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
+            raise _UsageError(f"Q must be a fraction or decimal, got {text!r}") from None
+        n = stats.threshold(w, q)
+        value = stats.tail(w, n)
         if args.format == "csv":
             print("word,q,N,tail_exact_num,tail_exact_den,tail_float")
             frac = value.as_fraction()

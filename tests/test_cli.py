@@ -236,6 +236,19 @@ class TestThreshold:
             assert Fraction(int(num), int(den)) == stats.tail(Word("HH"), int(n)).as_fraction()
         assert float(approx) == float(stats.tail(Word("HH"), int(n)))
 
+    def test_q_of_more_than_4300_digits_parses(self, capsys):
+        text = "0." + "0" * 4400 + "1"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, "threshold", "HTH", text)
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        n, value = re.fullmatch(r"N=(\d+) tail=(\d+/\d+) \(.+\)\n", out).groups()
+        w = Word("HTH")
+        with int_digits_unlimited():
+            q = Fraction(text)
+            assert int(n) == 77509 == stats.threshold(w, q)
+            assert Fraction(value) == stats.tail(w, 77509).as_fraction()
+
     def test_refusal_of_a_q_past_4300_digits_names_the_limit(self, capsys):
         code, out, err = run_cli(capsys, "threshold", "HTH", "1e-300000")
         assert (code, out) == (2, "")

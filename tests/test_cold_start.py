@@ -1,5 +1,6 @@
 """Cold start: the exact commands and a bare ``import coinwords`` load no numpy,
-and no ``dataclasses`` or ``inspect`` either.
+and no ``dataclasses`` or ``inspect`` either; a bare import loads no
+submodule, and each exact command only the submodules it uses.
 
 pytest has imported numpy long before these tests run, so each check starts
 a fresh interpreter with PYTHONPATH set to this tree's src/.
@@ -21,13 +22,28 @@ def run_python(*args):
     )
 
 
-def imported_modules(importtime_log):
-    """Module names listed by ``python -X importtime`` on stderr."""
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in importtime_log.splitlines()
-        if line.startswith("import time:") and "|" in line
-    }
+# Runs ``python -m MODULE ARGS...`` or ``python -c CODE`` from the rest of its
+# arguments, and at exit writes the names in sys.modules, one a line, to the
+# file named by its first.  The ``-X importtime`` log cannot stand in: it
+# omits every module loaded through ``importlib.import_module``.
+PROBE = """\
+import atexit, runpy, sys
+_, path, flag, target, *rest = sys.argv
+atexit.register(lambda: open(path, "w").write("\\n".join(sys.modules)))
+sys.argv = [target, *rest]
+if flag == "-c":
+    exec(target, {"__name__": "__main__"})
+else:
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+"""
+
+
+def loaded_modules(tmp_path, *args):
+    """The names in sys.modules when ``python *args`` exits (args start with -m or -c)."""
+    path = tmp_path / "modules.txt"
+    proc = run_python("-c", PROBE, str(path), *args)
+    assert proc.returncode == 0, proc.stderr
+    return set(path.read_text().split())
 
 
 EXACT_COMMANDS = [
@@ -41,31 +57,37 @@ EXACT_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
-def test_exact_command_loads_no_numpy(argv):
-    proc = run_python("-X", "importtime", "-m", "coinwords.cli", *argv)
-    assert proc.returncode == 0, proc.stderr
-    modules = imported_modules(proc.stderr)
-    assert "coinwords.stats" in modules  # the log was read
+def test_exact_command_loads_no_numpy(tmp_path, argv):
+    modules = loaded_modules(tmp_path, "-m", "coinwords.cli", *argv)
+    assert "coinwords.stats" in modules  # the probe ran the command
     assert not [m for m in modules if m.split(".")[0] == "numpy"]
 
 
-@pytest.mark.parametrize(
-    "args",
-    [("-m", "coinwords.cli", *argv) for argv in EXACT_COMMANDS] + [("-c", "import coinwords")],
-    ids=" ".join,
-)
-def test_cold_path_loads_no_dataclasses(args):
-    proc = run_python("-X", "importtime", *args)
-    assert proc.returncode == 0, proc.stderr
-    modules = imported_modules(proc.stderr)
-    assert "coinwords.stats" in modules  # the log was read
+COLD_PATHS = [("-m", "coinwords.cli", *argv) for argv in EXACT_COMMANDS] + [("-c", "import coinwords")]
+
+
+@pytest.mark.parametrize("args", COLD_PATHS, ids=" ".join)
+def test_cold_path_loads_no_dataclasses(tmp_path, args):
+    modules = loaded_modules(tmp_path, *args)
+    assert "coinwords" in modules  # the probe ran the command
     assert "dataclasses" not in modules and "inspect" not in modules
 
 
-def test_bare_import_loads_no_numpy():
-    proc = run_python("-X", "importtime", "-c", "import coinwords")
-    assert proc.returncode == 0, proc.stderr
-    modules = imported_modules(proc.stderr)
+@pytest.mark.parametrize("args", COLD_PATHS, ids=" ".join)
+def test_cold_path_loads_only_the_submodules_it_uses(tmp_path, args):
+    """A bare import loads no submodule; each exact command loads words,
+    counting and stats, and gf alone loads genfun as well."""
+    modules = loaded_modules(tmp_path, *args)
+    loaded = {m for m in modules if m.split(".")[0] == "coinwords"}
+    if args[0] == "-c":
+        assert loaded == {"coinwords"}
+    else:
+        exact = {"coinwords", "coinwords.words", "coinwords.counting", "coinwords.stats"}
+        assert loaded == exact | ({"coinwords.genfun"} if args[2] == "gf" else set())
+
+
+def test_bare_import_loads_no_numpy(tmp_path):
+    modules = loaded_modules(tmp_path, "-c", "import coinwords")
     assert "coinwords" in modules
     assert "numpy" not in modules
     assert "coinwords.closedform" not in modules and "coinwords.montecarlo" not in modules
