@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline 06205d8 --repeats 21   # writes BENCH_17.json
+    python scripts/bench_layers.py --baseline aa1c135 --repeats 21   # writes BENCH_18.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -142,6 +142,7 @@ COLD = {
     "cold tail HTH 22": ("-m", "coinwords.cli", "tail", "HTH", "22"),
     "cold threshold HHH 1e-100": ("-m", "coinwords.cli", "threshold", "HHH", "1e-100"),
     "cold stats HTHT": ("-m", "coinwords.cli", "stats", "HTHT"),
+    "cold gf HTH --m 8": ("-m", "coinwords.cli", "gf", "HTH", "--m", "8"),
     "cold simulate HTHH 65536 trials": (
         "-m", "coinwords.cli", "simulate", "HTHH", "--trials", "65536", "--seed", "1",
     ),
@@ -261,7 +262,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_17.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_18.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

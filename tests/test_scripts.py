@@ -77,7 +77,7 @@ def test_bench_layers(tmp_path):
     cold = [name for name in report["rows"] if name.startswith("cold ")]
     assert cold == [
         "cold import coinwords", "cold counts HTHT 20", "cold counts HTH 40 csv",
-        "cold tail HTH 22", "cold threshold HHH 1e-100", "cold stats HTHT",
+        "cold tail HTH 22", "cold threshold HHH 1e-100", "cold stats HTHT", "cold gf HTH --m 8",
         "cold simulate HTHH 65536 trials", "cold verify --full",
     ]
     assert all(report["rows"][name]["current_ms"] > 0 for name in cold)
