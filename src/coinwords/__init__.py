@@ -37,7 +37,10 @@ def __getattr__(name: str):
     if name in _EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")
     if name in _HOME:
-        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+        # a loaded submodule is bound here; the name itself is not, so that a
+        # wrapper put on the submodule's binding, and its removal, show through
+        home = globals().get(_HOME[name]) or importlib.import_module(f"{__name__}.{_HOME[name]}")
+        return getattr(home, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -11,7 +11,8 @@ itself (i = 0 always counts):
 with D(0) = 1.  The counts a(n) are the coefficients of x**k / D(x), and
 the numbers b(m) of length-m records that avoid the pattern those of
 c(x) / D(x).  A ``RecurrenceSpec`` is such a fraction, and D is known only
-to this module.  ``extend_counts`` runs the fraction term by term;
+to this module, which works it out once per word and keeps it in a bounded
+memo (``_Memo``).  ``extend_counts`` runs the fraction term by term;
 ``nth_term`` jumps to a single term with Bostan and Mori's algorithm ("A
 simple and fast algorithm for computing the N-th term of a linearly
 recurrent sequence", SOSA 2021) in O(log n) products of degree-k
@@ -19,6 +20,8 @@ polynomials, instead of building all n terms.  An independent dynamic
 program over the prefix-match states of the pattern automaton counts the
 same sequence.  All arithmetic uses Python's unbounded integers.
 """
+
+from threading import Lock
 
 from .words import Word, _Record, _set_field, brute_force_count
 
@@ -38,12 +41,6 @@ __all__ = [
 ESSENTIAL_WORDS = tuple(Word(s) for s in ("HT", "HH", "HHH", "HHT", "HTT", "HTH"))
 
 
-def _overlaps(w: Word) -> tuple[int, ...]:
-    """Shifts i in 0..k-1 at which ``w`` matches itself; i = 0 always does."""
-    s, k = w.letters, len(w)
-    return tuple(i for i in range(k) if s[i:] == s[: k - i])
-
-
 def _denominator(w: Word, shifts: tuple[int, ...]) -> tuple[int, ...]:
     """D_0..D_k of D(x) = x**k + (1 - 2x) c(x), c from the overlaps ``shifts`` of ``w``."""
     den = [0] * (len(w) + 1)
@@ -52,6 +49,59 @@ def _denominator(w: Word, shifts: tuple[int, ...]) -> tuple[int, ...]:
         den[i] += 1
         den[i + 1] -= 2
     return tuple(den)
+
+
+class _Memo:
+    """What this module derives from a word's letters, kept for the words
+    last asked about: the overlap shifts, D_0..D_k and the numerators of the
+    count and avoidance specs.  It holds at most ``max_words`` words and
+    ``max_letters`` letters in all, and drops the oldest words to make room;
+    a word longer than ``max_letters`` is derived on every call.  Filling it
+    calls no public function, so a call traces the same on a miss as on a hit.
+    """
+
+    def __init__(self, max_words: int, max_letters: int) -> None:
+        self.max_words, self.max_letters = max_words, max_letters
+        self.entries: dict[str, tuple] = {}  # letters -> (shifts, den, count num, avoid num)
+        self.letters = 0
+        self._lock = Lock()  # an eviction and the letter count change together
+
+    def __call__(self, w: Word) -> tuple:
+        s = w.letters
+        entry = self.entries.get(s)
+        if entry is not None:
+            return entry
+        k = len(s)
+        shifts = tuple(i for i in range(k) if s[i:] == s[: k - i])
+        entry = (
+            shifts,
+            _denominator(w, shifts),
+            (0,) * (k - 1) + (1,),
+            tuple(int(i in shifts) for i in range(k)),
+        )
+        if k <= self.max_letters:
+            with self._lock:
+                while len(self.entries) >= self.max_words or self.letters + k > self.max_letters:
+                    oldest = next(iter(self.entries))
+                    del self.entries[oldest]
+                    self.letters -= len(oldest)
+                if s not in self.entries:
+                    self.entries[s] = entry
+                    self.letters += k
+        return entry
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries.clear()
+            self.letters = 0
+
+
+_memo = _Memo(max_words=1024, max_letters=1 << 16)
+
+
+def _overlaps(w: Word) -> tuple[int, ...]:
+    """Shifts i in 0..k-1 at which ``w`` matches itself; i = 0 always does."""
+    return _memo(w)[0]
 
 
 class RecurrenceSpec(_Record):
@@ -97,14 +147,14 @@ def builtin_spec(w: Word) -> RecurrenceSpec:
     Complement pairs share one fraction, since overlaps are invariant under
     swapping H and T.
     """
-    return RecurrenceSpec((0,) * (len(w) - 1) + (1,), _denominator(w, _overlaps(w)))
+    _, den, num, _ = _memo(w)
+    return RecurrenceSpec(num, den)
 
 
 def _avoidance_spec(w: Word) -> RecurrenceSpec:
     """b(m), the length-m records that avoid ``w``, as term m + 1 of c(x) / D(x)."""
-    shifts = _overlaps(w)
-    num = tuple(int(i in shifts) for i in range(len(w)))
-    return RecurrenceSpec(num, _denominator(w, shifts))
+    _, den, _, num = _memo(w)
+    return RecurrenceSpec(num, den)
 
 
 def extend_counts(spec: RecurrenceSpec, n_max: int) -> CountSequence:
@@ -121,16 +171,22 @@ def extend_counts(spec: RecurrenceSpec, n_max: int) -> CountSequence:
     return CountSequence(tuple(values[pad:]))
 
 
-def _half_product(a: list[int], b: list[int], parity: int) -> list[int]:
-    """Coefficients of a(x) * b(-x) at the powers x**(2i + parity), as a list over i."""
-    out = [0] * ((len(a) + len(b) - parity) // 2)
-    by_parity = ([], [])
+def _signed_split(b: list[int]) -> tuple[list, list]:
+    """The nonzero coefficients of b(-x) as (power, coefficient) pairs, even powers then odd."""
+    split = ([], [])
     for j, y in enumerate(b):
         if y:
-            by_parity[j & 1].append((j, -y if j & 1 else y))
+            split[j & 1].append((j, -y if j & 1 else y))
+    return split
+
+
+def _half_product(a: list[int], b: list[int], split: tuple[list, list], parity: int) -> list[int]:
+    """Coefficients of a(x) * b(-x) at the powers x**(2i + parity), as a list over i;
+    ``split`` is ``_signed_split(b)``."""
+    out = [0] * ((len(a) + len(b) - parity) // 2)
     for i, x in enumerate(a):
         if x:
-            for j, y in by_parity[(i ^ parity) & 1]:
+            for j, y in split[(i ^ parity) & 1]:
                 out[(i + j) >> 1] += x * y
     return out
 
@@ -142,15 +198,17 @@ def nth_term(spec: RecurrenceSpec, n: int) -> int:
     den(-x), which leaves an even denominator, and keeps the half of the
     numerator whose parity matches the index; each round halves the index.
     That is O(log n) integer products of degree-k polynomials whose
-    coefficients grow to O(n) bits.
+    coefficients grow to O(n) bits.  Each round splits den(-x) by parity
+    once, for both of its products.
     """
     if n < 1:
         raise ValueError(f"term index must be >= 1, got {n}")
     num, den = list(spec.num) or [0], list(spec.den)
     index = n - 1
     while index:
-        num = _half_product(num, den, index & 1)
-        den = _half_product(den, den, 0)
+        split = _signed_split(den)
+        num = _half_product(num, den, split, index & 1)
+        den = _half_product(den, den, split, 0)
         index >>= 1
     return num[0]
 
@@ -171,8 +229,9 @@ def nth_terms(spec: RecurrenceSpec, indices: tuple[int, ...]) -> tuple[int, ...]
     nums, den = [[0] * (top - n) + num for n in indices], list(spec.den)
     index = top - 1
     while index:
-        nums = [_half_product(part, den, index & 1) for part in nums]
-        den = _half_product(den, den, 0)
+        split = _signed_split(den)
+        nums = [_half_product(part, den, split, index & 1) for part in nums]
+        den = _half_product(den, den, split, 0)
         index >>= 1
     return tuple(part[0] for part in nums)
 

@@ -4,12 +4,16 @@ Each check returns ``(passed, detail)``; ``run_checks`` runs them from one
 table that names each check and times it into a ``CheckResult``, so the CLI
 can print a report.  The checks that hold a jump-ahead route (``tail``, ``cdf``)
 against a term-by-term one build each word's term-by-term sequence once and
-compare the jump at every n with its prefix.
+compare the jump at every n with its prefix.  The four checks that read a
+``ClosedFormModel`` take the solver as ``solve``: ``run_checks`` hands them
+one that solves each word once per run, and a check called alone solves
+afresh.
 """
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -122,11 +126,13 @@ def _check_tail_routes(n_max: int) -> tuple[bool, str]:
 
 
 def _check_cdf_vs_partial_gf(m_max: int) -> tuple[bool, str]:
-    half = Fraction(1, 2)
+    # The partial sum at 1/2 is S(m) / 2**m with S(m) = 2 S(m-1) + a(m), in integers.
     for w in ESSENTIAL_WORDS:
-        coeffs = finite_gf(w, m_max).coeffs
+        gf = finite_gf(w, m_max)
+        partial = 0
         for m in range(1, m_max + 1):
-            if cdf(w, m).as_fraction() != Polynomial(coeffs[: m + 1])(half):
+            partial = 2 * partial + gf.coefficient(m)
+            if partial < 0 or cdf(w, m) != DyadicRational(partial, m):
                 return False, f"{w} at m={m}"
     return True, f"cdf equals the partial sum evaluated at 1/2 for m <= {m_max}"
 
@@ -146,30 +152,33 @@ def _check_truncation_identity(m_lo: int, m_hi: int) -> tuple[bool, str]:
     )
 
 
-def _check_closed_form_horizons(min_horizon: int) -> tuple[bool, str]:
+def _check_closed_form_horizons(min_horizon: int, solve=None) -> tuple[bool, str]:
+    solve = solve or solve_denominator
     details = []
     for w in ESSENTIAL_WORDS:
-        model = solve_denominator(w)
+        model = solve(w)
         details.append(f"{w}={model.reliability_horizon}")
         if model.reliability_horizon < min_horizon:
             return False, f"{w} certified only to {model.reliability_horizon} < {min_horizon}"
     return True, "certified horizons: " + " ".join(details)
 
 
-def _check_secondary_terms() -> tuple[bool, str]:
+def _check_secondary_terms(solve=None) -> tuple[bool, str]:
+    solve = solve or solve_denominator
     for w in ESSENTIAL_WORDS:
-        model = solve_denominator(w)
+        model = solve(w)
         for n in range(len(w), model.reliability_horizon + 1):
             if not secondary_term(model, n) < 0.5:
                 return False, f"{w} at n={n}"
     return True, "discarded term stays below 1/2 from n = len(w) across every certified range"
 
 
-def _check_roots() -> tuple[bool, str]:
+def _check_roots(solve=None) -> tuple[bool, str]:
     # solve_denominator already bounds each root's residual; what it does not
     # see is a root lost, repeated or added, which changes D's coefficients.
+    solve = solve or solve_denominator
     for w in ESSENTIAL_WORDS:
-        roots = solve_denominator(w).roots
+        roots = solve(w).roots
         den = builtin_spec(w).den
         if len(roots) != len(den) - 1:
             return False, f"{w}: D has degree {len(den) - 1}, the model {len(roots)} roots"
@@ -182,9 +191,10 @@ def _check_roots() -> tuple[bool, str]:
     )
 
 
-def _check_root_formula(n_max: int) -> tuple[bool, str]:
+def _check_root_formula(n_max: int, solve=None) -> tuple[bool, str]:
+    solve = solve or solve_denominator
     for w in ROOT_FORMULA_WORDS:
-        model = solve_denominator(w)
+        model = solve(w)
         exact = extend_counts(builtin_spec(w), n_max)
         for n in range(1, n_max + 1):
             value = root_formula_count(model, n)
@@ -236,13 +246,14 @@ def run_checks(depth: str = "quick") -> list[CheckResult]:
     """Run the whole suite; ``depth`` is 'quick' or 'full'.
 
     Full mode pushes the enumeration oracle to n = 20 and widens the
-    complement sweep.  On a 2-core Intel Xeon, quick mode takes 54.5 ms and
-    full mode 168 ms (medians of 21 rounds, ``BENCH_16.json``).  Each result
+    complement sweep.  On a 2-core Intel Xeon, quick mode takes 47.0 ms and
+    full mode 145 ms (medians of 21 rounds, ``BENCH_19.json``).  Each result
     carries the wall time of its check in ``seconds``.
     """
     if depth not in ("quick", "full"):
         raise ValueError(f"depth must be 'quick' or 'full', got {depth!r}")
     full = depth == "full"
+    solve = cache(solve_denominator)  # one model per word for this run, read by four checks
     checks = (  # (name, check, arguments), in report order
         ("reference-counts", _check_reference_counts, ()),
         ("engine-agreement", _check_engine_agreement, (20 if full else 14,)),
@@ -250,10 +261,10 @@ def run_checks(depth: str = "quick") -> list[CheckResult]:
         ("tail-identities", _check_tail_routes, (64,)),
         ("cdf-vs-partial-sum", _check_cdf_vs_partial_gf, (64,)),
         ("truncation-identity", _check_truncation_identity, (2, 12)),
-        ("closed-form-horizons", _check_closed_form_horizons, (50,)),
-        ("rounding-slack", _check_secondary_terms, ()),
-        ("root-residuals", _check_roots, ()),
-        ("root-formula", _check_root_formula, (30,)),
+        ("closed-form-horizons", _check_closed_form_horizons, (50, solve)),
+        ("rounding-slack", _check_secondary_terms, (solve,)),
+        ("root-residuals", _check_roots, (solve,)),
+        ("root-formula", _check_root_formula, (30, solve)),
         ("moment-sums", _check_moment_sums, (400, Fraction(1, 10**6))),
         ("normalization", _check_normalization, (200, Fraction(1, 10**6))),
     )

@@ -382,6 +382,20 @@ class TestVerifyCommand:
             assert r["passed"] is True and r["seconds"] > 0
 
 
+    @pytest.mark.parametrize("depth", ["quick", "full"])
+    def test_run_solves_each_word_once(self, monkeypatch, depth):
+        solved = []
+
+        def counted(w):
+            solved.append(w)
+            return closedform.solve_denominator(w)
+
+        monkeypatch.setattr(verify, "solve_denominator", counted)
+        assert all(r.passed for r in run_checks(depth))
+        assert sorted(solved, key=str) == sorted(verify.ROOT_FORMULA_WORDS, key=str)
+        assert len(solved) == 9
+
+
 def reference_normalization(m_max, slack):
     """The normalization check built on one Fraction per term, as a test-local
     oracle for verify's integer version: same verdicts, same details."""

@@ -160,3 +160,17 @@ def test_unknown_attribute_raises():
         "    print(exc)\n"
     )
     assert out.strip() == "module 'coinwords' has no attribute 'no_such_name'"
+
+
+def test_export_reads_its_loaded_submodule_each_time(monkeypatch):
+    import coinwords
+    import coinwords.stats
+
+    assert coinwords.tail is coinwords.stats.tail
+    assert "tail" not in vars(coinwords)  # served, not cached in the package
+    # a binding replaced in the submodule, and put back, shows through
+    wrapper = object()
+    monkeypatch.setattr(coinwords.stats, "tail", wrapper)
+    assert coinwords.tail is wrapper
+    monkeypatch.undo()
+    assert coinwords.tail is coinwords.stats.tail

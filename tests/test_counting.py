@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +97,88 @@ class TestAvoidanceSpec:
             spec = _avoidance_spec(w)
             assert extend_counts(spec, 60).values == tuple(expected), w
             assert spec.den == builtin_spec(w).den
+
+
+def direct_overlaps(letters):
+    k = len(letters)
+    return tuple(i for i in range(k) if letters[i:] == letters[: k - i])
+
+
+def direct_denominator(k, shifts):
+    """D(x) = x**k + c(x) - 2x c(x), one power at a time."""
+    c = [int(i in shifts) for i in range(k + 1)]
+    return tuple(int(j == k) + c[j] - 2 * (c[j - 1] if j else 0) for j in range(k + 1))
+
+
+class TestWordMemo:
+    """The memo behind _overlaps, builtin_spec and _avoidance_spec."""
+
+    @given(st.lists(st.sampled_from("HT"), min_size=1, max_size=64).map("".join))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_direct_construction(self, letters):
+        w, k = Word(letters), len(letters)
+        shifts = direct_overlaps(letters)
+        den = direct_denominator(k, shifts)
+        for _ in range(2):  # a miss, then a hit unless the word was seen before
+            assert counting._overlaps(w) == shifts
+            assert builtin_spec(w) == RecurrenceSpec((0,) * (k - 1) + (1,), den)
+            assert _avoidance_spec(w) == RecurrenceSpec(
+                tuple(int(i in shifts) for i in range(k)), den
+            )
+
+    def test_stays_within_its_bounds(self, monkeypatch):
+        memo = counting._Memo(max_words=4, max_letters=20)
+        monkeypatch.setattr(counting, "_memo", memo)
+        long_word = Word("HT" * 10 + "H")  # 21 letters: over the budget
+        words = [*all_words(3), *all_words(5), long_word, *all_words(2)]
+        for w in words:
+            den = direct_denominator(len(w), direct_overlaps(w.letters))
+            assert builtin_spec(w).den == den
+            assert len(memo.entries) <= 4 and memo.letters <= 20
+            assert memo.letters == sum(map(len, memo.entries))
+            if len(w) > 20:
+                assert w.letters not in memo.entries
+            else:
+                assert w.letters in memo.entries
+        assert list(memo.entries) == [w.letters for w in words[-4:]]  # the oldest went first
+        assert extend_counts(builtin_spec(long_word), 30) == automaton_counts(long_word, 30)
+        memo.clear()
+        assert memo.entries == {} and memo.letters == 0
+
+    def test_threads_keep_the_letter_count(self, monkeypatch):
+        memo = counting._Memo(max_words=8, max_letters=40)
+        monkeypatch.setattr(counting, "_memo", memo)
+        words = [*all_words(4), *all_words(6)]  # 80 words, to evict all the time
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(10000):
+                    counting._overlaps(words[(i * 7 + offset) % len(words)])
+            except Exception as exc:  # reported below, with the thread's failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert memo.letters == sum(map(len, memo.entries)) <= 40
+        assert len(memo.entries) <= 8
+
+    def test_module_memo_is_bounded(self):
+        memo = counting._memo
+        assert memo.max_words < 2048
+        for w in all_words(11):  # 2048 distinct words
+            counting._overlaps(w)
+            assert len(memo.entries) <= memo.max_words
+        assert memo.letters == sum(map(len, memo.entries)) <= memo.max_letters
 
 
 class TestExtendCounts:
