@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline aa1c135 --repeats 21   # writes BENCH_18.json
+    python scripts/bench_layers.py --baseline e17a99e --repeats 21   # writes BENCH_19.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -11,7 +11,9 @@ the median of those per-call times, in milliseconds, over --repeats rounds,
 with the interquartile range beside it: a speedup whose two ranges
 overlap is within the machine's run-to-run spread.  Rows named "... x1000"
 time a thousand sub-microsecond operations in one call, so their
-milliseconds read as microseconds per operation.  Two kinds of rows:
+milliseconds read as microseconds per operation.  Rows named "... memo
+cleared" empty counting's per-word memo before each call, beside the same
+case timed with the memo warm.  Two kinds of rows:
 
 - warm rows time calls of a case, after one warm-up call, in a timing
   interpreter started for the round, whose PYTHONPATH is one source tree's
@@ -59,7 +61,7 @@ def _refused(f, *args) -> None:
 def _cases() -> dict:
     from fractions import Fraction
 
-    from coinwords import Word, verify
+    from coinwords import Word, counting, verify
     from coinwords.counting import (
         ESSENTIAL_WORDS, automaton_counts, builtin_spec, counts, extend_counts, nth_terms,
         transition_table,
@@ -70,6 +72,8 @@ def _cases() -> dict:
     from coinwords.words import all_words, brute_force_count
 
     hth, long_word = Word("HTH"), Word(LONG_WORD)
+    # a tree from before the memo has nothing to empty
+    forget = counting._memo.clear if hasattr(counting, "_memo") else lambda: None
     deep, micro = Fraction("1e-100"), Fraction("1e-6")
     cases = {
         "extend_counts HTH n=20000": lambda: extend_counts(builtin_spec(hth), 20000),
@@ -87,6 +91,7 @@ def _cases() -> dict:
         for f in (pmf, tail, cdf):
             cases[f"{f.__name__} {w} n=20000"] = lambda f=f, w=w: f(w, 20000)
         cases[f"tail {w} n=64"] = lambda w=w: tail(w, 64)  # verify's range
+        cases[f"tail {w} n=64 memo cleared"] = lambda w=w: (forget(), tail(w, 64))
     cases["nth_terms HTH n=63,64"] = lambda: nth_terms(builtin_spec(hth), (63, 64))
     cases[f"nth_terms {long_word} n=19999,20000"] = lambda: nth_terms(
         builtin_spec(long_word), (19999, 20000)
@@ -262,7 +267,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_18.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_19.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

@@ -64,6 +64,7 @@ def test_bench_layers(tmp_path):
         "brute_force_count HHTHTTHHTH n=20",
         "counts HTH n=14 engine=brute", "verify engine-agreement n<=20",
         "tail HTH n=64", "tail HTHTTHHTHT n=64", "cdf HTH m=2",
+        "tail HTH n=64 memo cleared", "tail HTHTTHHTHT n=64 memo cleared",
         "transition_table HTHTTHHTHT", "automaton_counts HTH n=64",
         "automaton_counts HTHTTHHTHT n=64", "nth_terms HTH n=63,64",
         "nth_terms HTHTTHHTHT n=19999,20000", 'Word("HTHTTHHTHT") x1000',
