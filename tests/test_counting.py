@@ -100,8 +100,8 @@ class TestAvoidanceSpec:
 
 
 def direct_overlaps(letters):
-    k = len(letters)
-    return tuple(i for i in range(k) if letters[i:] == letters[: k - i])
+    """Shifts i at which the suffix from letter i is also a prefix."""
+    return tuple(i for i in range(len(letters)) if letters.startswith(letters[i:]))
 
 
 def direct_denominator(k, shifts):
