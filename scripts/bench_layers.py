@@ -73,7 +73,7 @@ def _cases() -> dict:
 
     hth, long_word = Word("HTH"), Word(LONG_WORD)
     # a tree from before the memo has nothing to empty
-    forget = counting._memo.clear if hasattr(counting, "_memo") else lambda: None
+    forget = counting._derive.cache_clear if hasattr(counting, "_derive") else lambda: None
     deep, micro = Fraction("1e-100"), Fraction("1e-6")
     cases = {
         "extend_counts HTH n=20000": lambda: extend_counts(builtin_spec(hth), 20000),

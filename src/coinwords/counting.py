@@ -12,7 +12,7 @@ with D(0) = 1.  The counts a(n) are the coefficients of x**k / D(x), and
 the numbers b(m) of length-m records that avoid the pattern those of
 c(x) / D(x).  A ``RecurrenceSpec`` is such a fraction, and D is known only
 to this module, which works it out once per word and keeps it in a bounded
-memo (``_Memo``).  ``extend_counts`` runs the fraction term by term;
+memo (``_memo``).  ``extend_counts`` runs the fraction term by term;
 ``nth_term`` jumps to a single term with Bostan and Mori's algorithm ("A
 simple and fast algorithm for computing the N-th term of a linearly
 recurrent sequence", SOSA 2021) in O(log n) products of degree-k
@@ -21,7 +21,7 @@ program over the prefix-match states of the pattern automaton counts the
 same sequence.  All arithmetic uses Python's unbounded integers.
 """
 
-from threading import Lock
+from functools import lru_cache
 
 from .words import Word, _Record, _set_field, brute_force_count
 
@@ -41,7 +41,7 @@ __all__ = [
 ESSENTIAL_WORDS = tuple(Word(s) for s in ("HT", "HH", "HHH", "HHT", "HTT", "HTH"))
 
 
-def _denominator(w: Word, shifts: tuple[int, ...]) -> tuple[int, ...]:
+def _denominator(w: Word | str, shifts: tuple[int, ...]) -> tuple[int, ...]:
     """D_0..D_k of D(x) = x**k + (1 - 2x) c(x), c from the overlaps ``shifts`` of ``w``."""
     den = [0] * (len(w) + 1)
     den[-1] = 1
@@ -51,52 +51,27 @@ def _denominator(w: Word, shifts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(den)
 
 
-class _Memo:
-    """What this module derives from a word's letters, kept for the words
-    last asked about: the overlap shifts, D_0..D_k and the numerators of the
-    count and avoidance specs.  It holds at most ``max_words`` words and
-    ``max_letters`` letters in all, and drops the oldest words to make room;
-    a word longer than ``max_letters`` is derived on every call.  Filling it
-    calls no public function, so a call traces the same on a miss as on a hit.
-    """
-
-    def __init__(self, max_words: int, max_letters: int) -> None:
-        self.max_words, self.max_letters = max_words, max_letters
-        self.entries: dict[str, tuple] = {}  # letters -> (shifts, den, count num, avoid num)
-        self.letters = 0
-        self._lock = Lock()  # an eviction and the letter count change together
-
-    def __call__(self, w: Word) -> tuple:
-        s = w.letters
-        entry = self.entries.get(s)
-        if entry is not None:
-            return entry
-        k = len(s)
-        shifts = tuple(i for i in range(k) if s[i:] == s[: k - i])
-        entry = (
-            shifts,
-            _denominator(w, shifts),
-            (0,) * (k - 1) + (1,),
-            tuple(int(i in shifts) for i in range(k)),
-        )
-        if k <= self.max_letters:
-            with self._lock:
-                while len(self.entries) >= self.max_words or self.letters + k > self.max_letters:
-                    oldest = next(iter(self.entries))
-                    del self.entries[oldest]
-                    self.letters -= len(oldest)
-                if s not in self.entries:
-                    self.entries[s] = entry
-                    self.letters += k
-        return entry
-
-    def clear(self) -> None:
-        with self._lock:
-            self.entries.clear()
-            self.letters = 0
+@lru_cache(maxsize=1024)
+def _derive(letters: str) -> tuple:
+    """The overlap shifts, D_0..D_k and the numerators of the count and
+    avoidance specs of the word ``letters``.  It calls no public function, so
+    a call traces the same on a miss as on a hit."""
+    k = len(letters)
+    shifts = tuple(i for i in range(k) if letters[i:] == letters[: k - i])
+    return (
+        shifts,
+        _denominator(letters, shifts),
+        (0,) * (k - 1) + (1,),
+        tuple(int(i in shifts) for i in range(k)),
+    )
 
 
-_memo = _Memo(max_words=1024, max_letters=1 << 16)
+def _memo(w: Word) -> tuple:
+    """``_derive`` for ``w``, kept for the 1024 words of at most 64 letters
+    used most recently (65536 letters in all); longer words are worked out on
+    every call."""
+    s = w.letters
+    return _derive(s) if len(s) <= 64 else _derive.__wrapped__(s)
 
 
 def _overlaps(w: Word) -> tuple[int, ...]:

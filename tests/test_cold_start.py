@@ -1,6 +1,7 @@
 """Cold start: the exact commands and a bare ``import coinwords`` load no numpy,
-and no ``dataclasses`` or ``inspect`` either; a bare import loads no
-submodule, and each exact command only the submodules it uses.
+and no ``dataclasses`` or ``inspect`` either; the exact commands load no
+``threading``; a bare import loads no submodule, and each exact command only
+the submodules it uses.
 
 pytest has imported numpy long before these tests run, so each check starts
 a fresh interpreter with PYTHONPATH set to this tree's src/.
@@ -38,10 +39,10 @@ else:
 """
 
 
-def loaded_modules(tmp_path, *args):
-    """The names in sys.modules when ``python *args`` exits (args start with -m or -c)."""
+def loaded_modules(tmp_path, *args, flags=()):
+    """The names in sys.modules when ``python *flags *args`` exits (args start with -m or -c)."""
     path = tmp_path / "modules.txt"
-    proc = run_python("-c", PROBE, str(path), *args)
+    proc = run_python(*flags, "-c", PROBE, str(path), *args)
     assert proc.returncode == 0, proc.stderr
     return set(path.read_text().split())
 
@@ -61,6 +62,14 @@ def test_exact_command_loads_no_numpy(tmp_path, argv):
     modules = loaded_modules(tmp_path, "-m", "coinwords.cli", *argv)
     assert "coinwords.stats" in modules  # the probe ran the command
     assert not [m for m in modules if m.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
+def test_exact_command_loads_no_threading(tmp_path, argv):
+    # -S: without site, whose .pth files may import threading on their own
+    modules = loaded_modules(tmp_path, "-m", "coinwords.cli", *argv, flags=("-S",))
+    assert "coinwords.stats" in modules  # the probe ran the command
+    assert "threading" not in modules
 
 
 COLD_PATHS = [("-m", "coinwords.cli", *argv) for argv in EXACT_COMMANDS] + [("-c", "import coinwords")]

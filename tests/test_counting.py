@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,59 +123,16 @@ class TestWordMemo:
                 tuple(int(i in shifts) for i in range(k)), den
             )
 
-    def test_stays_within_its_bounds(self, monkeypatch):
-        memo = counting._Memo(max_words=4, max_letters=20)
-        monkeypatch.setattr(counting, "_memo", memo)
-        long_word = Word("HT" * 10 + "H")  # 21 letters: over the budget
-        words = [*all_words(3), *all_words(5), long_word, *all_words(2)]
-        for w in words:
-            den = direct_denominator(len(w), direct_overlaps(w.letters))
-            assert builtin_spec(w).den == den
-            assert len(memo.entries) <= 4 and memo.letters <= 20
-            assert memo.letters == sum(map(len, memo.entries))
-            if len(w) > 20:
-                assert w.letters not in memo.entries
-            else:
-                assert w.letters in memo.entries
-        assert list(memo.entries) == [w.letters for w in words[-4:]]  # the oldest went first
-        assert extend_counts(builtin_spec(long_word), 30) == automaton_counts(long_word, 30)
-        memo.clear()
-        assert memo.entries == {} and memo.letters == 0
-
-    def test_threads_keep_the_letter_count(self, monkeypatch):
-        memo = counting._Memo(max_words=8, max_letters=40)
-        monkeypatch.setattr(counting, "_memo", memo)
-        words = [*all_words(4), *all_words(6)]  # 80 words, to evict all the time
-        errors = []
-
-        def work(offset):
-            try:
-                for i in range(10000):
-                    counting._overlaps(words[(i * 7 + offset) % len(words)])
-            except Exception as exc:  # reported below, with the thread's failure
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and not errors
-        assert memo.letters == sum(map(len, memo.entries)) <= 40
-        assert len(memo.entries) <= 8
-
-    def test_module_memo_is_bounded(self):
-        memo = counting._memo
-        assert memo.max_words < 2048
+    def test_stays_within_its_bounds(self):
+        counting._derive.cache_clear()
         for w in all_words(11):  # 2048 distinct words
             counting._overlaps(w)
-            assert len(memo.entries) <= memo.max_words
-        assert memo.letters == sum(map(len, memo.entries)) <= memo.max_letters
+        info = counting._derive.cache_info()
+        assert info.currsize == info.maxsize == 1024
+        long_word = Word("HT" * 32 + "H")  # 65 letters: past the 64 that are kept
+        den = direct_denominator(65, direct_overlaps(long_word.letters))
+        assert builtin_spec(long_word).den == den
+        assert counting._derive.cache_info() == info  # neither looked up nor kept
 
 
 class TestExtendCounts:
