@@ -246,8 +246,8 @@ def run_checks(depth: str = "quick") -> list[CheckResult]:
     """Run the whole suite; ``depth`` is 'quick' or 'full'.
 
     Full mode pushes the enumeration oracle to n = 20 and widens the
-    complement sweep.  On a 2-core Intel Xeon, quick mode takes 47.0 ms and
-    full mode 145 ms (medians of 21 rounds, ``BENCH_19.json``).  Each result
+    complement sweep.  On a 2-core Intel Xeon, quick mode takes 34.5 ms and
+    full mode 116 ms (medians of 21 rounds, ``BENCH_19.json``).  Each result
     carries the wall time of its check in ``seconds``.
     """
     if depth not in ("quick", "full"):
