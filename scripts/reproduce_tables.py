@@ -10,7 +10,8 @@ from coinwords.genfun import closed_gf
 from coinwords.stats import moments, tail, threshold
 from coinwords.words import Word
 
-LANDMARKS = {"HH": 12, "HHT": 15, "HTT": 15, "HTH": 22, "HHH": 30}
+# Per word, a toss count N whose tail P(>=N) is near 10%.
+LANDMARKS = {"HT": 7, "HH": 12, "HHT": 15, "HTT": 15, "HTH": 22, "HHH": 30}
 
 
 def main() -> None:
@@ -30,10 +31,9 @@ def main() -> None:
         )
 
     print("\n== landmark tails (exact, near 10%) ==")
-    print(f"{'HT':<4} P(>=7)  = {tail(Word('HT'), 7)} ({float(tail(Word('HT'), 7)):.6f})")
     for letters, n in LANDMARKS.items():
         value = tail(Word(letters), n)
-        print(f"{letters:<4} P(>={n}) = {value} ({float(value):.6f})")
+        print(f"{letters:<4} {f'P(>={n})':<7} = {value} ({float(value):.6f})")
 
     print("\n== smallest N with tail(N) <= 10% ==")
     for w in ESSENTIAL_WORDS:

@@ -8,6 +8,7 @@ import math
 from coinwords.counting import ESSENTIAL_WORDS
 from coinwords.montecarlo import TrialConfig, run_trials
 from coinwords.stats import moments, tail
+from reproduce_tables import LANDMARKS
 
 
 def main() -> None:
@@ -24,10 +25,8 @@ def main() -> None:
         st = moments(w)
         cfg = TrialConfig(word=w, trials=args.trials, seed=args.seed)
         summary = run_trials(cfg, workers=args.workers)
-        z = (summary.mean - float(st.mean)) / (st.stddev / math.sqrt(args.trials))
-        landmark = {"HT": 7, "HH": 12, "HHT": 15, "HTT": 15, "HTH": 22, "HHH": 30}[
-            w.letters
-        ]
+        z = (summary.mean - float(st.mean)) / (st.stddev / math.sqrt(summary.count))
+        landmark = LANDMARKS[w.letters]
         exact_tail = float(tail(w, landmark))
         emp_tail = summary.tail_fraction(landmark)
         print(

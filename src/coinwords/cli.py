@@ -53,10 +53,12 @@ def _resolve_word(args: argparse.Namespace) -> Word:
 def _word_and_value(args: argparse.Namespace, flag: str, what: str, integer: bool = False):
     """The word and the command's one value (N or Q), each given positionally
     or by its flag.  argparse binds the first positional to WORD, so once
-    ``--word`` is given and the value is not, that positional is the value."""
-    if args.word_flag is not None and args.value_pos is None and args.value_flag is None:
+    ``--word`` is given, a lone positional is the value when the value's flag
+    is absent or when it is not a word."""
+    lone = args.word_flag is not None and args.word_pos is not None and args.value_pos is None
+    if lone and (args.value_flag is None or not set(args.word_pos) <= set("HTht")):
         args.word_pos, args.value_pos = None, args.word_pos
-        if integer and args.value_pos is not None:
+        if integer:
             try:
                 args.value_pos = int(args.value_pos)
             except ValueError:

@@ -6,8 +6,7 @@ can print a report.  The checks that hold a jump-ahead route (``tail``, ``cdf``)
 against a term-by-term one build each word's term-by-term sequence once and
 compare the jump at every n with its prefix.  The four checks that read a
 ``ClosedFormModel`` take the solver as ``solve``: ``run_checks`` hands them
-one that solves each word once per run, and a check called alone solves
-afresh.
+one that solves each word once per run.
 """
 
 import time
@@ -152,8 +151,7 @@ def _check_truncation_identity(m_lo: int, m_hi: int) -> tuple[bool, str]:
     )
 
 
-def _check_closed_form_horizons(min_horizon: int, solve=None) -> tuple[bool, str]:
-    solve = solve or solve_denominator
+def _check_closed_form_horizons(min_horizon: int, solve) -> tuple[bool, str]:
     details = []
     for w in ESSENTIAL_WORDS:
         model = solve(w)
@@ -163,8 +161,7 @@ def _check_closed_form_horizons(min_horizon: int, solve=None) -> tuple[bool, str
     return True, "certified horizons: " + " ".join(details)
 
 
-def _check_secondary_terms(solve=None) -> tuple[bool, str]:
-    solve = solve or solve_denominator
+def _check_secondary_terms(solve) -> tuple[bool, str]:
     for w in ESSENTIAL_WORDS:
         model = solve(w)
         for n in range(len(w), model.reliability_horizon + 1):
@@ -173,10 +170,9 @@ def _check_secondary_terms(solve=None) -> tuple[bool, str]:
     return True, "discarded term stays below 1/2 from n = len(w) across every certified range"
 
 
-def _check_roots(solve=None) -> tuple[bool, str]:
+def _check_roots(solve) -> tuple[bool, str]:
     # solve_denominator already bounds each root's residual; what it does not
     # see is a root lost, repeated or added, which changes D's coefficients.
-    solve = solve or solve_denominator
     for w in ESSENTIAL_WORDS:
         roots = solve(w).roots
         den = builtin_spec(w).den
@@ -191,8 +187,7 @@ def _check_roots(solve=None) -> tuple[bool, str]:
     )
 
 
-def _check_root_formula(n_max: int, solve=None) -> tuple[bool, str]:
-    solve = solve or solve_denominator
+def _check_root_formula(n_max: int, solve) -> tuple[bool, str]:
     for w in ROOT_FORMULA_WORDS:
         model = solve(w)
         exact = extend_counts(builtin_spec(w), n_max)

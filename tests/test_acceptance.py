@@ -1,25 +1,24 @@
 """Acceptance criteria, one test per criterion, each at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  Timing assertions use the best of several repeats so a scheduler
-hiccup cannot fail an otherwise sound build.
+criterion.  Criteria 2 and 4-7 are cross-checks that ``verify`` runs: they
+read its full run, made once for the module, and print the check's detail.
+Timing assertions use the best of several repeats so a scheduler hiccup
+cannot fail an otherwise sound build.
 """
 
 import math
+import re
 import time
 from fractions import Fraction
 
-from coinwords.closedform import secondary_term, solve_denominator
-from coinwords.counting import (
-    ESSENTIAL_WORDS,
-    automaton_counts,
-    builtin_spec,
-    extend_counts,
-)
-from coinwords.genfun import Polynomial, closed_gf, finite_gf, truncation_remainder
+import pytest
+
+from coinwords import verify
+from coinwords.counting import ESSENTIAL_WORDS, builtin_spec, extend_counts
 from coinwords.montecarlo import TrialConfig, run_trials
-from coinwords.stats import cdf, closed_tail, moments, partial_moment_sums, tail
-from coinwords.words import Word, brute_force_count
+from coinwords.stats import cdf, moments, tail
+from coinwords.words import Word
 
 GOLDEN_ROWS = {
     "HHH": (0, 0, 1, 1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504, 927),
@@ -36,6 +35,18 @@ EXACT_MOMENTS = {
     "HTH": (10, 58),
 }
 ALL_TWELVE = [w for e in ESSENTIAL_WORDS for w in (e, e.complement())]
+
+
+@pytest.fixture(scope="module")
+def checks():
+    """``verify.run_checks("full")``, run once, by check name."""
+    return {r.name: r for r in verify.run_checks("full")}
+
+
+def _read(checks, name, coverage):
+    result = checks[name]
+    assert result.passed and coverage in result.detail, f"{name}: {result.detail}"
+    return result
 
 
 def _report(criterion: int, message: str) -> None:
@@ -68,17 +79,11 @@ def test_criterion_1_golden_table_exact_and_fast():
     _report(1, f"golden table rows exact, computed in {elapsed * 1e6:.0f} us")
 
 
-def test_criterion_2_oracle_triangle_to_20():
-    start = time.perf_counter()
-    for w in ALL_TWELVE:
-        rec = extend_counts(builtin_spec(w), 20)
-        auto = automaton_counts(w, 20)
-        for n in range(1, 21):
-            b = brute_force_count(w, n)
-            assert rec.at(n) == auto.at(n) == b, f"{w} at n={n}"
-    elapsed = time.perf_counter() - start
-    assert elapsed < 30, f"oracle triangle took {elapsed:.1f} s"
-    _report(2, f"recurrence = automaton = enumeration, 12 words, n <= 20, {elapsed:.1f} s")
+def test_criterion_2_oracle_triangle_to_20(checks):
+    assert verify.WORDS_WITH_COMPLEMENTS == tuple(ALL_TWELVE)
+    result = _read(checks, "engine-agreement", "for 12 words, n <= 20")
+    assert result.seconds < 30, f"oracle triangle took {result.seconds:.1f} s"
+    _report(2, f"{result.detail}, {result.seconds:.1f} s")
 
 
 def test_criterion_3_exact_moments():
@@ -90,48 +95,35 @@ def test_criterion_3_exact_moments():
     _report(3, "means and variances exactly (4,4) (6,22) (14,142) (8,24) (10,58)")
 
 
-def test_criterion_4_tail_landmarks_and_identity_routes():
+def test_criterion_4_tail_landmarks_and_identity_routes(checks):
     assert tail(Word("HT"), 7).as_fraction() == Fraction(7, 64)
     for letters, n in (("HH", 12), ("HHT", 15), ("HTT", 15), ("HTH", 22), ("HHH", 30)):
         value = float(tail(Word(letters), n))
         assert abs(value - 0.1) <= 0.02, f"{letters} at N={n}: {value}"
-    for w in ALL_TWELVE:
-        for n in range(1, 65):
-            assert tail(w, n) == closed_tail(w, n), f"{w} at N={n}"
-    _report(4, "tail(HT,7) = 7/64; landmark tails within 0.02 of 0.1; routes equal to N = 64")
+    assert verify.WORDS_WITH_COMPLEMENTS == tuple(ALL_TWELVE)
+    routes = _read(checks, "tail-identities", "for 12 words, n <= 64")
+    _report(4, f"tail(HT,7) = 7/64; landmark tails within 0.02 of 0.1; {routes.detail}")
 
 
-def test_criterion_5_truncation_identity():
-    one = Polynomial((1,))
-    for letters in ("HHH", "HHT", "HTT", "HTH"):
-        w = Word(letters)
-        f = closed_gf(w)
-        for m in range(4, 13):
-            lhs = finite_gf(w, m) * f.den
-            rhs = f.num * (one - truncation_remainder(w, m))
-            assert lhs == rhs, f"{letters} at m={m}"
-    _report(5, "partial sum x denominator identity exact for m = 4..12, all four classes")
+def test_criterion_5_truncation_identity(checks):
+    # The four classes of length 3 start at m = 2, so m = 4..12 is covered.
+    assert set(GOLDEN_ROWS) <= {w.letters for w in verify.ROOT_FORMULA_WORDS}
+    result = _read(checks, "truncation-identity", "m = max(2, k-1)..12")
+    _report(5, result.detail)
 
 
-def test_criterion_6_certified_horizons():
-    details = []
-    for w in ESSENTIAL_WORDS:
-        model = solve_denominator(w)
-        assert model.reliability_horizon >= 50, f"{w}: {model.reliability_horizon}"
-        for n in range(len(w), model.reliability_horizon + 1):
-            assert secondary_term(model, n) < 0.5, f"{w} at n={n}"
-        details.append(f"{w}={model.reliability_horizon}")
-    _report(6, "horizons " + " ".join(details) + ", rounding slack < 1/2 throughout")
+def test_criterion_6_certified_horizons(checks):
+    horizons = _read(checks, "closed-form-horizons", "certified horizons: ")
+    found = dict(re.findall(r"(\w+)=(\d+)", horizons.detail))
+    assert list(found) == [str(w) for w in ESSENTIAL_WORDS], horizons.detail
+    assert min(map(int, found.values())) >= 50, horizons.detail
+    slack = _read(checks, "rounding-slack", "from n = len(w) across every certified range")
+    _report(6, f"{horizons.detail}; {slack.detail}")
 
 
-def test_criterion_7_truncated_moment_sums():
-    tol = Fraction(1, 10**6)
-    for w in ESSENTIAL_WORDS:
-        st = moments(w)
-        s1, s2 = partial_moment_sums(w, 400)
-        assert abs(s1 - st.mean) <= tol, w
-        assert abs(s2 - (st.variance + st.mean**2)) <= tol, w
-    _report(7, "sums to n = 400 match exact mean and second moment within 1e-6")
+def test_criterion_7_truncated_moment_sums(checks):
+    result = _read(checks, "moment-sums", "(n <= 400) match the exact moments to 1e-06")
+    _report(7, result.detail)
 
 
 def test_criterion_8_monte_carlo_bands_and_determinism():

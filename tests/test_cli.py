@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import re
 import sys
@@ -10,6 +11,7 @@ import pytest
 from coinwords import closedform, stats, verify
 from coinwords.cli import main
 from coinwords.counting import CountSequence, RecurrenceSpec
+from coinwords.genfun import Polynomial
 from coinwords.verify import run_checks
 from coinwords.words import Word
 
@@ -416,6 +418,31 @@ def reference_normalization(m_max, slack):
     return True, f"cdf nondecreasing, <= 1, and >= 1 - {float(slack):g} by m = {m_max}"
 
 
+# check name -> (the input in verify's namespace, its corruption, the failing detail)
+CORRUPTED_INPUTS = {
+    # a remainder one term short
+    "truncation-identity": (
+        "truncation_remainder",
+        lambda exact: lambda w, m: Polynomial(exact(w, m).coeffs[:-1]),
+        "HT at m=2",
+    ),
+    # a solver that certifies only to n = 49
+    "closed-form-horizons": (
+        "solve_denominator",
+        lambda exact: lambda w: dataclasses.replace(exact(w), reliability_horizon=49),
+        "HT certified only to 49 < 50",
+    ),
+    # a discarded term of exactly 1/2, where rounding can go either way
+    "rounding-slack": (
+        "secondary_term",
+        lambda exact: lambda model, n: 0.5 if n == 20 else exact(model, n),
+        "HT at n=20",
+    ),
+    # sums cut at n = 100: HH's second moment is still 8e-6 short
+    "moment-sums": ("partial_moment_sums", lambda exact: lambda w, n: exact(w, n // 4), "HH"),
+}
+
+
 class TestNegativeControl:
     SLACK = Fraction(1, 10**6)
 
@@ -537,7 +564,14 @@ class TestNegativeControl:
         # _ordered returns the model's (root, weight) pairs
         exact = closedform._ordered
         monkeypatch.setattr(closedform, "_ordered", lambda poles: mangle(exact(poles)))
-        assert verify._check_roots() == (False, detail)
+        assert verify._check_roots(closedform.solve_denominator) == (False, detail)
+
+    @pytest.mark.parametrize("name", CORRUPTED_INPUTS)
+    def test_corrupted_input_fails_the_check_that_reads_it(self, monkeypatch, name):
+        attribute, corrupt, detail = CORRUPTED_INPUTS[name]
+        monkeypatch.setattr(verify, attribute, corrupt(getattr(verify, attribute)))
+        failed = {r.name: r.detail for r in run_checks("full") if not r.passed}
+        assert failed == {name: detail}
 
 
 class TestExitCodes:
@@ -564,6 +598,10 @@ class TestExitCodes:
             (("counts", "HH"), "a toss count is required"),
             (("tail", "HTH"), "a toss index is required"),
             (("threshold", "HTH"), "a quantile is required"),
+            (("counts", "--word", "HH", "6", "--n-max", "7"), "a toss count given twice"),
+            (("tail", "--word", "HTH", "5", "--n-max", "6"), "a toss index given twice"),
+            (("threshold", "--word", "HH", "0.1", "--q", "0.2"), "a quantile given twice"),
+            (("counts", "HH", "--word", "HT", "--n-max", "5"), "a word given twice"),
         ],
     )
     def test_value_given_twice_or_not_at_all_is_usage_error(self, capsys, argv, message):

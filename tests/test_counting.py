@@ -330,16 +330,6 @@ class TestSequenceIdentities:
             assert total * 10**6 >= (10**6 - 1) * (1 << 200)
 
 
-class TestOracleTriangle:
-    @pytest.mark.parametrize("w", [w for e in ESSENTIAL_WORDS for w in (e, e.complement())], ids=str)
-    def test_three_engines_agree(self, w):
-        rec = extend_counts(builtin_spec(w), 14)
-        auto = automaton_counts(w, 14)
-        for n in range(1, 15):
-            b = brute_force_count(w, n)
-            assert rec.at(n) == auto.at(n) == b, f"{w} at n={n}"
-
-
 class TestCountsDispatch:
     def test_engines_by_name(self):
         w = Word("HH")

@@ -1,9 +1,12 @@
 """Smoke tests: the scripts under scripts/ run to completion on the current API."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+
+from coinwords.montecarlo import EmpiricalSummary
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -33,12 +36,28 @@ def test_simulate_check():
     assert len(proc.stdout.strip().splitlines()) >= 8
 
 
-def test_bench_layers_pairs_rounds():
+def import_script(name):
     sys.path.insert(0, os.path.join(ROOT, "scripts"))
     try:
-        import bench_layers
+        return importlib.import_module(name)
     finally:
         sys.path.pop(0)
+
+
+def test_simulate_check_z_reads_completed_trials(monkeypatch, capsys):
+    simulate_check = import_script("simulate_check")
+    # 300 of 400 trials truncate, and the other 100 wait 6 tosses
+    truncating = lambda cfg, workers: EmpiricalSummary(cfg.word, 400, cfg.seed, 300, {6: 100})
+    monkeypatch.setattr(simulate_check, "run_trials", truncating)
+    monkeypatch.setattr(sys, "argv", ["simulate_check.py", "--trials", "400"])
+    simulate_check.main()
+    # HT: mean 4 and stddev 2; 100 completed waits of 6 give z = 2 / (2 / sqrt(100))
+    row = capsys.readouterr().out.splitlines()[2].split()
+    assert row[:4] == ["HT", "4.0000", "6.0000", "+10.00"]
+
+
+def test_bench_layers_pairs_rounds():
+    bench_layers = import_script("bench_layers")
     # the current tree wins rounds 1, 2 and 4, and ties round 3
     row = bench_layers._paired([2.0, 3.0, 1.0, 4.0, 1.0], [1.0, 1.0, 1.0, 2.0, 2.0])
     assert row == {"paired_speedup": 2.0, "paired_speedup_iqr": [1.0, 2.0], "current_wins": 3}
