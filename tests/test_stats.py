@@ -187,6 +187,22 @@ class TestJumpAheadValues:
 
 class TestMoments:
     @pytest.mark.parametrize(
+        "letters,mean,variance",
+        [
+            ("HT", 4, 4),
+            ("HH", 6, 22),
+            ("HHH", 14, 142),
+            ("HHT", 8, 24),
+            ("HTT", 8, 24),
+            ("HTH", 10, 58),
+        ],
+    )
+    def test_exact_values(self, letters, mean, variance):
+        st_ = moments(Word(letters))
+        assert st_.mean == Fraction(mean)
+        assert st_.variance == Fraction(variance)
+
+    @pytest.mark.parametrize(
         "letters,approx", [("HH", 4.7), ("HHT", 4.9), ("HTH", 7.6), ("HHH", 11.9)]
     )
     def test_stddev_decimals(self, letters, approx):
