@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline d769866 --repeats 21   # writes BENCH_20.json
+    python scripts/bench_layers.py --baseline 1a3cd9e --repeats 21   # writes BENCH_21.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -61,7 +61,7 @@ def _refused(f, *args) -> None:
 def _cases() -> dict:
     from fractions import Fraction
 
-    from coinwords import Word, counting, verify
+    from coinwords import Word, closedform, counting, verify
     from coinwords.counting import (
         ESSENTIAL_WORDS, automaton_counts, builtin_spec, counts, extend_counts, nth_terms,
         transition_table,
@@ -127,6 +127,8 @@ def _cases() -> dict:
     cases["verify engine-agreement n<=20"] = lambda: verify._check_engine_agreement(20)
     slack = Fraction(1, 10**6)
     cases["verify normalization m<=200"] = lambda: verify._check_normalization(200, slack)
+    for name, letters in ((LONG_WORD, LONG_WORD), ("H T^63", "H" + "T" * 63)):  # k = 10, 64
+        cases[f"solve_denominator {name}"] = lambda w=Word(letters): closedform.solve_denominator(w)
     cases["verify quick"] = lambda: verify.run_checks("quick")
     cases["verify full"] = lambda: verify.run_checks("full")
     twin, thousand = Word(LONG_WORD), range(1000)
@@ -152,6 +154,10 @@ COLD = {
         "-m", "coinwords.cli", "simulate", "HTHH", "--trials", "65536", "--seed", "1",
     ),
     "cold verify --full": ("-m", "coinwords.cli", "verify", "--full"),
+    "cold verify": ("-m", "coinwords.cli", "verify"),
+    "cold counts HTH 14 engine=brute": (
+        "-m", "coinwords.cli", "counts", "HTH", "14", "--engine", "brute",
+    ),
 }
 
 
@@ -267,7 +273,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_20.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_21.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

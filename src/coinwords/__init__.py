@@ -1,14 +1,13 @@
 """Exact analysis of first-occurrence waiting times for H/T patterns in fair coin flips.
 
 The exact layers (``words``, ``counting``, ``genfun``, ``stats``) use only
-Python integers and ``Fraction``.  numpy serves root finding
-(``closedform``), Monte Carlo (``montecarlo``) and the enumeration oracle
-(``brute_force_count``, which imports it when called).  ``import coinwords``
+Python integers and ``Fraction``; ``closedform`` and ``verify`` add plain
+floats.  numpy serves only Monte Carlo (``montecarlo``).  ``import coinwords``
 loads no submodule: ``_EXPORTS`` names each export once, under the
 submodule that defines it, and the module ``__getattr__`` below imports a
 submodule, or the home of an exported name, on first access.  So each
-command loads only the modules it uses, and the exact commands run without
-numpy.
+command loads only the modules it uses, and every command but ``simulate``
+runs without numpy.
 """
 
 import importlib

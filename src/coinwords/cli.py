@@ -12,8 +12,8 @@ import sys
 from fractions import Fraction
 
 # Each command loads only the modules it uses: genfun, montecarlo and verify
-# (the last two load numpy) are imported inside the one command that calls
-# them.  stats stays here, where perfbench's self-test reads ``cli.stats``.
+# are imported inside the one command that calls them, and montecarlo alone
+# loads numpy.  stats stays here, where perfbench's self-test reads ``cli.stats``.
 from . import stats
 from .counting import builtin_spec, counts
 from .words import Word, parse_word
@@ -205,9 +205,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = sum(not res.passed for res in results)
     if args.format == "json":
         import json
-        from dataclasses import asdict
 
-        print(json.dumps([asdict(res) for res in results], indent=2))
+        records = [{name: getattr(res, name) for name in res.__slots__} for res in results]
+        print(json.dumps(records, indent=2))
     else:
         for res in results:
             status = "PASS" if res.passed else "FAIL"

@@ -10,11 +10,8 @@ one that solves each word once per run.
 """
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-
-import numpy as np
 
 from .closedform import (
     RESIDUAL_TOL,
@@ -31,7 +28,7 @@ from .counting import (
 )
 from .genfun import Polynomial, closed_gf, finite_gf, truncation_remainder
 from .stats import DyadicRational, cdf, moments, partial_moment_sums, tail
-from .words import Word, all_words, brute_force_count
+from .words import Word, _Record, _set_field, all_words, brute_force_count
 
 __all__ = ["CheckResult", "run_checks", "REFERENCE_COUNTS"]
 
@@ -49,12 +46,16 @@ ROOT_FORMULA_WORDS = ESSENTIAL_WORDS + tuple(Word(s) for s in ("H", "HTHT", "HHT
 WORDS_WITH_COMPLEMENTS = tuple(v for w in ESSENTIAL_WORDS for v in (w, w.complement()))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float  # wall time of the check
+class CheckResult(_Record):
+    """One check's verdict, its detail line and its wall time in seconds."""
+
+    __slots__ = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "passed", passed)
+        _set_field(self, "detail", detail)
+        _set_field(self, "seconds", seconds)
 
 
 def _lengths(words: tuple[Word, ...]) -> str:
@@ -178,7 +179,10 @@ def _check_roots(solve) -> tuple[bool, str]:
         den = builtin_spec(w).den
         if len(roots) != len(den) - 1:
             return False, f"{w}: D has degree {len(den) - 1}, the model {len(roots)} roots"
-        error = np.abs(den[-1] * np.poly(roots) - den[::-1]).max()
+        rebuilt = [1]  # the product of (x - r) over the roots, lowest power first
+        for r in roots:
+            rebuilt = [a - r * b for a, b in zip([0, *rebuilt], [*rebuilt, 0])]
+        error = max(abs(den[-1] * c - d) for c, d in zip(rebuilt, den))
         if not error <= RESIDUAL_TOL:
             return False, f"{w}: the roots rebuild D only to within {error:.2e}"
     return True, (
@@ -241,8 +245,8 @@ def run_checks(depth: str = "quick") -> list[CheckResult]:
     """Run the whole suite; ``depth`` is 'quick' or 'full'.
 
     Full mode pushes the enumeration oracle to n = 20 and widens the
-    complement sweep.  On a 2-core Intel Xeon, quick mode takes 34.5 ms and
-    full mode 116 ms (medians of 21 rounds, ``BENCH_19.json``).  Each result
+    complement sweep.  On a 2-core Intel Xeon, quick mode takes 33.4 ms and
+    full mode 44.6 ms (medians of 21 rounds, ``BENCH_21.json``).  Each result
     carries the wall time of its check in ``seconds``.
     """
     if depth not in ("quick", "full"):

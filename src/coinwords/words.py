@@ -1,13 +1,11 @@
 """Binary pattern words over the alphabet {H, T} and the enumeration oracle.
 
 Outcome strings (full toss records) are plain ``str`` values over the same
-alphabet.  The enumeration oracle iterates outcomes as integers with H = bit 1
-and T = bit 0, first toss in the most significant position, so substring
-tests reduce to shifts and masks.  A record in which a word first appears at
-the last toss ends in that word, so the oracle enumerates only those records:
-every prefix of the other n - k tosses, followed by the word's k letters.
-Its limit counts those strings, at most 2**22 of them, and records of at
-most 62 tosses, which fit an int64.
+alphabet.  A record in which a word first appears at the last toss ends in
+that word, so the oracle enumerates only those records: every prefix of the
+other n - k tosses, followed by the word's k letters.  It holds one bit per
+record in one Python int, so each window test is a handful of big-integer
+ANDs; its limit is 2**22 records, an int of 512 KiB.
 """
 
 import itertools
@@ -87,13 +85,6 @@ class Word(_Record):
         """The word with every H replaced by T and vice versa."""
         return Word(self.letters.translate(_COMPLEMENT))
 
-    def bits(self) -> int:
-        """Integer encoding of the letters, first letter most significant, H = 1."""
-        value = 0
-        for ch in self.letters:
-            value = (value << 1) | (ch == "H")
-        return value
-
 
 def parse_word(text: str) -> Word:
     """Parse ``text`` into a :class:`Word`, accepting lowercase letters.
@@ -111,42 +102,57 @@ def parse_word(text: str) -> Word:
     return Word(text.upper())
 
 
+def _toss_slice(j: int, strings: int) -> int:
+    """The ``strings``-bit int whose bit x is bit j of x: 2**j zeros, then
+    2**j ones, repeated.  Built by doubling, in linear time."""
+    half = 1 << j
+    bits, span = ((1 << half) - 1) << half, half << 1
+    while span < strings:
+        bits |= bits << span
+        span <<= 1
+    return bits
+
+
 def brute_force_count(w: Word, n: int) -> int:
     """Count length-``n`` outcome strings whose first occurrence of ``w`` ends at toss ``n``.
 
-    Enumerates the 2**(n - k) outcomes that end in ``w`` (k = len(w)) as
-    integers in one numpy array, and counts those in which no earlier window
-    equals ``w``.  This path is kept deliberately independent of the
-    recurrence and automaton engines so it can serve as their oracle.  It
-    answers 0 for n < k, where there is no such outcome, and refuses more
-    than 2**22 outcomes (one array of about 72 MiB at the limit) or n above
-    62, past which a record does not fit an int64.
+    Enumerates the 2**(n - k) outcomes that end in ``w`` (k = len(w)), bit
+    sliced: bit x of one int stands for the record whose free prefix is x,
+    first toss most significant, H = 1.  Each window that ends before toss n
+    and agrees with ``w`` on its fixed letters marks the records it matches,
+    the AND of its free tosses' slices; the count is the records left
+    unmarked.  This path reads only the letters and n, deliberately
+    independent of the recurrence and automaton engines so it can serve as
+    their oracle.  It answers 0 for n < k, where there is no such outcome,
+    and refuses more than 2**22 outcomes (an int of 512 KiB at the limit).
     """
     if n < 1:
         raise ValueError(f"toss count must be >= 1, got {n}")
     size = len(w)
     if n < size:
         return 0
-    if n - size > 22:
+    free = n - size
+    if free > 22:
         raise ValueError(
-            f"toss count {n} would enumerate the 2**{n - size} strings that end in {w}, "
+            f"toss count {n} would enumerate the 2**{free} strings that end in {w}, "
             "past the enumeration limit of 2**22"
         )
-    if n > 62:
-        raise ValueError(f"toss count {n} is past the enumeration limit of 62 tosses")
-    import numpy as np  # here, not at module level: the exact layers never load it
-
-    wbits = w.bits()
-    mask = (1 << size) - 1
-    xs = (np.arange(1 << (n - size), dtype=np.int64) << size) | wbits
-    win = np.empty_like(xs)
-    ok = np.ones(xs.size, dtype=bool)
-    # window ending at toss p < n sits at shift n - p
-    for shift in range(1, n - size + 1):
-        np.right_shift(xs, shift, out=win)
-        np.bitwise_and(win, mask, out=win)
-        ok &= win != wbits
-    return int(np.count_nonzero(ok))
+    letters, strings = w.letters, 1 << free
+    everyone = (1 << strings) - 1
+    slices: dict[int, int] = {}  # free toss -> its slice, while a later window reads it
+    earlier = 0  # the records in which some earlier window equals w
+    for start in range(free):  # the window at tosses start..start+k-1 (from 0)
+        fixed = max(start + size - free, 0)  # its letters that fall in w's copy
+        if letters[size - fixed:] == letters[:fixed]:
+            match = everyone
+            for toss in range(start, start + size - fixed):
+                if toss not in slices:
+                    slices[toss] = _toss_slice(free - 1 - toss, strings)
+                is_h = slices[toss]
+                match &= is_h if letters[toss - start] == "H" else everyone ^ is_h
+            earlier |= match
+        slices.pop(start, None)
+    return strings - earlier.bit_count()
 
 
 def all_words(length: int) -> Iterator[Word]:

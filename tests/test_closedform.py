@@ -1,5 +1,6 @@
 import math
 
+import numpy
 import pytest
 
 from coinwords import closedform
@@ -98,6 +99,21 @@ class TestRoots:
         for z in model.roots:
             assert _den_residual(w, z) <= RESIDUAL_TOL
 
+    def test_roots_match_numpy(self):
+        # numpy's companion-matrix solver, an independent reference, on D
+        # with its factors of x - 1 divided out
+        def key(z):
+            return round(z.real, 9), round(z.imag, 9)
+
+        for w in SHORT_WORDS:
+            quot = closed_gf(w).den
+            while quot(1) == 0:
+                quot = Polynomial(_divide_by_x_minus_one(quot.coeffs))
+            expected = sorted(map(complex, numpy.roots(quot.coeffs[::-1])), key=key)
+            got = sorted((z for z in solve_denominator(w).roots if z != 1), key=key)
+            assert len(got) == len(expected), w
+            assert max((abs(a - b) for a, b in zip(got, expected)), default=0) <= 1e-14, w
+
     @pytest.mark.parametrize("letters", ["HHH", "HTH"])
     def test_complex_roots_are_conjugate(self, letters):
         model = solve_denominator(Word(letters))
@@ -121,8 +137,7 @@ class TestClosedFormCount:
         assert closed_form_count(model, 3) == 1
 
     def test_ht_is_n_minus_one(self):
-        model = solve_denominator(Word("HT"))
-        certify_horizon(model, 1000)
+        model = certify_horizon(solve_denominator(Word("HT")), 1000)
         assert closed_form_count(model, 1000) == 999
 
     def test_rejects_beyond_horizon(self):
@@ -147,20 +162,24 @@ class TestClosedFormCount:
 class TestCertifyHorizon:
     def test_hh_probe_70(self):
         model = solve_denominator(Word("HH"))
-        assert certify_horizon(model, 70) >= 60
+        assert certify_horizon(model, 70).reliability_horizon >= 60
 
     def test_hhh_probe_70(self):
         model = solve_denominator(Word("HHH"))
-        assert certify_horizon(model, 70) >= 50
+        assert certify_horizon(model, 70).reliability_horizon >= 50
 
     def test_ht_probe_1000(self):
         model = solve_denominator(Word("HT"))
-        assert certify_horizon(model, 1000) == 1000
+        assert certify_horizon(model, 1000).reliability_horizon == 1000
 
     def test_horizon_is_stored_on_the_model(self):
+        # on a new model: the one certified to the default probe keeps its horizon
         model = solve_denominator(Word("HH"))
-        h = certify_horizon(model, 40)
-        assert model.reliability_horizon == h == 40
+        certified = certify_horizon(model, 40)
+        assert (certified.reliability_horizon, model.reliability_horizon) == (40, 69)
+        assert (certified.word, certified.roots, certified.weights) == (
+            model.word, model.roots, model.weights
+        )
 
     @pytest.mark.parametrize("length", range(1, 9))
     def test_every_word_certifies_fifty_at_probe_70(self, length):
@@ -171,7 +190,7 @@ class TestCertifyHorizon:
     def test_double_precision_eventually_fails(self):
         # pushing the probe far enough must stop the horizon short
         model = solve_denominator(Word("HHH"))
-        h = certify_horizon(model, 120)
+        h = certify_horizon(model, 120).reliability_horizon
         assert 50 <= h < 120
 
 
@@ -249,6 +268,20 @@ class TestUnitRoot:
 
     def test_repeated_root_raises(self, monkeypatch):
         root = GOLDEN_RATIO_CONJUGATES[0]
-        monkeypatch.setattr(closedform.np, "roots", lambda coeffs: [root, root])
+        monkeypatch.setattr(closedform, "_aberth", lambda coeffs: [root, root])
         with pytest.raises(ArithmeticError, match="repeated root"):
             solve_denominator(Word("HH"))
+
+
+# The three autocorrelation classes of length <= 16 whose roots stay above
+# RESIDUAL_TOL; numpy's companion-matrix roots, Newton-polished, stall at the
+# same residuals.
+@pytest.mark.parametrize(
+    "letters, residual",
+    [("HTHTHTHTHTHTHTHT", "1.668e-12"), ("HTHTHHTHTHTHHTHT", "1.340e-12"),
+     ("HHHTHHHHHHHHHTHH", "1.296e-12")],
+)
+def test_refusal_pins_its_message(letters, residual):
+    message = f"root finding for {letters} stalled at residual {residual}"
+    with pytest.raises(ArithmeticError, match=f"^{message}$"):
+        solve_denominator(Word(letters))

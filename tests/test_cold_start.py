@@ -1,7 +1,8 @@
-"""Cold start: the exact commands and a bare ``import coinwords`` load no numpy,
-and no ``dataclasses`` or ``inspect`` either; the exact commands load no
-``threading``; a bare import loads no submodule, and each exact command only
-the submodules it uses.
+"""Cold start: every command but ``simulate``, and a bare ``import coinwords``,
+load no numpy, and ``simulate`` does; the exact commands, ``verify`` and a
+bare import load no ``dataclasses`` or ``inspect`` either; the exact
+commands load no ``threading``; a bare import loads no submodule, and each
+command only the submodules it uses.
 
 pytest has imported numpy long before these tests run, so each check starts
 a fresh interpreter with PYTHONPATH set to this tree's src/.
@@ -57,7 +58,15 @@ EXACT_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
+# Commands past the exact layers that still run without numpy.
+CHECK_COMMANDS = [
+    ("verify",),
+    ("verify", "--full", "--format", "json"),
+    ("counts", "HTH", "8", "--engine", "brute"),
+]
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS + CHECK_COMMANDS, ids=" ".join)
 def test_exact_command_loads_no_numpy(tmp_path, argv):
     modules = loaded_modules(tmp_path, "-m", "coinwords.cli", *argv)
     assert "coinwords.stats" in modules  # the probe ran the command
@@ -72,7 +81,9 @@ def test_exact_command_loads_no_threading(tmp_path, argv):
     assert "threading" not in modules
 
 
-COLD_PATHS = [("-m", "coinwords.cli", *argv) for argv in EXACT_COMMANDS] + [("-c", "import coinwords")]
+COLD_PATHS = [("-m", "coinwords.cli", *argv) for argv in EXACT_COMMANDS + [("verify",)]] + [
+    ("-c", "import coinwords")
+]
 
 
 @pytest.mark.parametrize("args", COLD_PATHS, ids=" ".join)
@@ -85,14 +96,16 @@ def test_cold_path_loads_no_dataclasses(tmp_path, args):
 @pytest.mark.parametrize("args", COLD_PATHS, ids=" ".join)
 def test_cold_path_loads_only_the_submodules_it_uses(tmp_path, args):
     """A bare import loads no submodule; each exact command loads words,
-    counting and stats, and gf alone loads genfun as well."""
+    counting and stats, gf loads genfun as well, and verify genfun,
+    closedform and verify."""
     modules = loaded_modules(tmp_path, *args)
     loaded = {m for m in modules if m.split(".")[0] == "coinwords"}
     if args[0] == "-c":
         assert loaded == {"coinwords"}
     else:
+        extra = {"gf": ("genfun",), "verify": ("genfun", "closedform", "verify")}
         exact = {"coinwords", "coinwords.words", "coinwords.counting", "coinwords.stats"}
-        assert loaded == exact | ({"coinwords.genfun"} if args[2] == "gf" else set())
+        assert loaded == exact | {f"coinwords.{m}" for m in extra.get(args[2], ())}
 
 
 def test_bare_import_loads_no_numpy(tmp_path):
@@ -103,18 +116,14 @@ def test_bare_import_loads_no_numpy(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("simulate", "HTH", "--trials", "2000", "--seed", "3"),
-        ("verify",),
-        ("counts", "HTH", "8", "--engine", "brute"),
-    ],
-    ids=" ".join,
+    "argv", [("simulate", "HTH", "--trials", "2000", "--seed", "3")], ids=" ".join
 )
-def test_numpy_commands_still_run_cold(argv):
-    proc = run_python("-m", "coinwords.cli", *argv)
+def test_numpy_commands_still_run_cold(tmp_path, argv):
+    path = tmp_path / "modules.txt"
+    proc = run_python("-c", PROBE, str(path), "-m", "coinwords.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    assert "numpy" in path.read_text().split()
 
 
 def check_after_bare_import(code):

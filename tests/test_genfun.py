@@ -126,13 +126,6 @@ class TestFiniteGf:
             for m in range(1, 65):
                 assert finite_gf(w, m)(HALF) == cdf(w, m).as_fraction(), f"{w} at m={m}"
 
-    def test_partial_probability_nondecreasing_and_bounded(self):
-        prev = Fraction(0)
-        for m in range(1, 40):
-            cur = finite_gf(Word("HTH"), m)(HALF)
-            assert prev <= cur <= 1
-            prev = cur
-
 
 class TestClosedGf:
     def test_ht_form(self):

@@ -295,3 +295,22 @@ class TestCsv:
         a = summary_csv(run_trials(cfg, workers=1))
         b = summary_csv(run_trials(cfg, workers=3))
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: run_trials(TrialConfig(word=Word("HT"), trials=1, seed=1), workers=0),
+            "workers must be >= 1, got 0",
+        ),
+        (
+            lambda: TrialConfig(Word("HT"), trials=1, seed=1, max_tosses_per_trial=2**22 + 1),
+            "toss cap above 4194304 is not supported",
+        ),
+    ],
+    ids=["workers=0", "cap=2**22+1"],
+)
+def test_refusal_pins_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -14,13 +14,21 @@ from types import SimpleNamespace
 
 import pytest
 
+from coinwords.closedform import ClosedFormModel, certify_horizon, solve_denominator
 from coinwords.counting import CountSequence, RecurrenceSpec, builtin_spec, counts
 from coinwords.genfun import Polynomial, RationalFunction, closed_gf
 from coinwords.stats import DyadicRational, WordStats, moments
+from coinwords.verify import CheckResult
 from coinwords.words import Word
 
 P = Polynomial
 HTH_STATS = {"mean": Fraction(10), "variance": Fraction(58), "stddev": math.sqrt(58)}
+# HT's D is (1 - x)**2, so its model holds no float noise
+HT_MODEL = {
+    "word": Word("HT"), "roots": (1 + 0j, 1 + 0j), "weights": (0j, 0j),
+    "unit_slope": 1.0, "unit_intercept": -1.0, "reliability_horizon": 70,
+}
+CHECK = {"name": "reference-counts", "passed": True, "detail": "rows", "seconds": 0.25}
 
 # name -> (make, field, repr, keyword arguments that build the same record,
 #          records that differ from it in one field each)
@@ -63,6 +71,21 @@ RECORDS = {
         {"num": P((0, 0, -1)), "den": P((-1, 1, 1))},
         [RationalFunction(P((0, 0, 1)), P((-1, 1, 1))),
          RationalFunction(P((0, 0, -1)), P((-1, 1, 2)))],
+    ),
+    "ClosedFormModel": (
+        lambda: solve_denominator(Word("HT")), "reliability_horizon",
+        "ClosedFormModel(word=Word(letters='HT'), roots=((1+0j), (1+0j)), weights=(0j, 0j), "
+        "unit_slope=1.0, unit_intercept=-1.0, reliability_horizon=70)",
+        HT_MODEL,
+        [certify_horizon(solve_denominator(Word("HT")), 69),
+         ClosedFormModel(**dict(HT_MODEL, word=Word("TH")))],
+    ),
+    "CheckResult": (
+        lambda: CheckResult(**CHECK), "passed",
+        "CheckResult(name='reference-counts', passed=True, detail='rows', seconds=0.25)",
+        CHECK,
+        [CheckResult(**dict(CHECK, **{name: value}))
+         for name, value in (("name", "x"), ("passed", False), ("detail", ""), ("seconds", 0.5))],
     ),
 }
 

@@ -80,7 +80,8 @@ def test_bench_layers(tmp_path):
         "threshold HTHTHTHTHT q=1e-6", "threshold HTH q=1/10",
         "threshold HHHHHHHHHHHHHHHHHHHH q=1/2 refusal", "threshold H T^63 q=1/2 refusal",
         "brute_force_count HT n=24", "brute_force_count HT n=15",
-        "brute_force_count HHTHTTHHTH n=20",
+        "brute_force_count HHTHTTHHTH n=20", "solve_denominator HTHTTHHTHT",
+        "solve_denominator H T^63",
         "counts HTH n=14 engine=brute", "verify engine-agreement n<=20",
         "tail HTH n=64", "tail HTHTTHHTHT n=64", "cdf HTH m=2",
         "tail HTH n=64 memo cleared", "tail HTHTTHHTHT n=64 memo cleared",
@@ -98,6 +99,7 @@ def test_bench_layers(tmp_path):
     assert cold == [
         "cold import coinwords", "cold counts HTHT 20", "cold counts HTH 40 csv",
         "cold tail HTH 22", "cold threshold HHH 1e-100", "cold stats HTHT", "cold gf HTH --m 8",
-        "cold simulate HTHH 65536 trials", "cold verify --full",
+        "cold simulate HTHH 65536 trials", "cold verify --full", "cold verify",
+        "cold counts HTH 14 engine=brute",
     ]
     assert all(report["rows"][name]["current_ms"] > 0 for name in cold)

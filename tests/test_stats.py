@@ -512,3 +512,18 @@ class TestLandmarks:
     )
     def test_tails_near_ten_percent(self, letters, n):
         assert abs(float(tail(Word(letters), n)) - 0.1) <= 0.02
+
+
+@pytest.mark.parametrize(
+    "f, n, message",
+    [
+        (pmf, 0, "toss index must be >= 1, got 0"),
+        (tail, 0, "toss index must be >= 1, got 0"),
+        (closed_tail, 0, "toss index must be >= 1, got 0"),
+        (cdf, -1, "toss count must be >= 0, got -1"),
+    ],
+    ids=["pmf", "tail", "closed_tail", "cdf"],
+)
+def test_refusal_pins_its_message(f, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        f(Word("HTH"), n)
