@@ -13,7 +13,9 @@ from fractions import Fraction
 
 # Each command loads only the modules it uses: genfun, montecarlo and verify
 # are imported inside the one command that calls them, and montecarlo alone
-# loads numpy.  stats stays here, where perfbench's self-test reads ``cli.stats``.
+# loads numpy, for a run past its bound of expected work (``_SCALAR_BLOCKS``,
+# 8192 toss blocks: 4000 trials of HTH take 4625).  stats stays here, where
+# perfbench's self-test reads ``cli.stats``.
 from . import stats
 from .counting import builtin_spec, counts
 from .words import Word, parse_word
@@ -147,6 +149,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
+        stats._refuse_by_exponent(w, text)  # before Fraction builds 10**exponent
         try:
             q = Fraction(text)
         except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter

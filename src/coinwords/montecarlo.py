@@ -1,26 +1,31 @@
 """Seeded simulation of first-occurrence waiting times.
 
 Randomness is counter-based: toss block j of trial i is the SplitMix64 output
-at stream index i * 2**16 + j for the configured seed, a pure function of
-(seed, trial, block), and toss t of a trial is bit (t - 1) mod 64 of block
-(t - 1) // 64, H = 1.  Each block is scanned for a word of k letters with
-Shift-And, about k word-wide operations per block, with the last k - 1
-tosses carried over from the block before, so a completion that straddles
-two blocks is found (see ``_run_chunk``).  Trials are processed in
-fixed-size chunks and merged with order-insensitive integer accumulation, so
-results are bit-identical no matter how many workers run or how the chunks
-are scheduled.
+(Steele, Lea and Flood, OOPSLA 2014) at stream index i * 2**16 + j for the
+configured seed, a pure function of (seed, trial, block), and toss t of a
+trial is bit (t - 1) mod 64 of block (t - 1) // 64, H = 1.  Each block is
+scanned for a word of k letters with Shift-And, about k word-wide operations
+per block, with the last k - 1 tosses carried over from the block before, so
+a completion that straddles two blocks is found (see ``_run_chunk``).
+
+The scan has two routes that give the same summary bit for bit.  A run whose
+expected work is at most ``_SCALAR_BLOCKS`` toss blocks scans one trial at a
+time in Python ints (``_run_scalar``); a larger one scans numpy arrays of
+trials in fixed-size chunks (``_run_chunk``), merged with order-insensitive
+integer accumulation, so results are bit-identical no matter how many
+workers run or how the chunks are scheduled.  Only the numpy route imports
+numpy and ``concurrent.futures``: a small run, such as a ``simulate`` of a
+few thousand trials, skips numpy's 120 ms import.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 # transition_table is unused here, but perfbench's self-test reads this binding.
-from .counting import counts, transition_table  # noqa: F401
+from .counting import _overlaps, builtin_spec, transition_table  # noqa: F401
 from .words import Word
 
 __all__ = [
@@ -31,12 +36,27 @@ __all__ = [
     "summary_csv",
 ]
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's stream increment and its two mixing multipliers
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 _TRIAL_STRIDE = 1 << 16  # 64-bit blocks reserved per trial
 _CHUNK = 1 << 16  # trials per work unit, fixed so chunking never shifts substreams
+
+_SCALAR_BLOCKS = 1 << 13
+"""The most expected toss blocks (``_expected_blocks``) a run may take for
+``run_trials`` to scan it in Python ints rather than numpy arrays.
+
+Measured on 2 cores with Python 3.11.7 and numpy 2.4.6: the Python-int scan
+takes 1.0-1.9 us a block (HH, HTH, HTHH, HHHH, H^7 and a word of 10
+letters), the numpy scan 0.03-0.1 us a block once numpy is loaded, and
+loading numpy with ``concurrent.futures`` adds 124 ms to a fresh
+interpreter.  At this bound the Python-int scan takes 10-17 ms (7084 trials
+of HTH, ``BENCH_22.json``), about a tenth of the import it skips: a fresh
+process below it finishes about 100 ms sooner, and one that has numpy
+loaded already loses at most that 10-17 ms.
+"""
 
 
 @dataclass(frozen=True)
@@ -95,19 +115,83 @@ class EmpiricalSummary:
         return high / self.trials
 
 
-def _toss_block(seed: int, trial: np.ndarray, j: int) -> np.ndarray:
-    """Toss block ``j`` (a SplitMix64 output) of each trial index in ``trial``."""
+def _valid_bits(k: int, cap: int, j: int) -> int:
+    """The bits r of block j at which a word of k letters can complete: toss
+    64j + r + 1 is at least k and at most the cap."""
+    low = min(max(k - 1 - 64 * j, 0), 64)
+    high = min(cap - 64 * j, 64)
+    return ((1 << high) - 1) & ~((1 << low) - 1)
+
+
+def _expected_blocks(cfg: TrialConfig) -> float:
+    """trials x min(ceil(cap / 64), 1 + mean / 64), a bound on the toss
+    blocks the run scans on average, where the mean waiting time is
+    sum(2**(k - i)) over the overlaps i of the word."""
+    k, most = len(cfg.word), -(-cfg.max_tosses_per_trial // 64)
+    if k >= (64 * most).bit_length():  # the mean is at least 2**k: the cap binds
+        return cfg.trials * most
+    mean = sum(1 << (k - i) for i in _overlaps(cfg.word))
+    return cfg.trials * min(most, 1 + mean / 64)
+
+
+def _run_scalar(cfg: TrialConfig, lo: int, hi: int) -> tuple[dict[int, int], int]:
+    """The waiting-time histogram and the truncated count of trials lo..hi - 1,
+    one trial after another in Python ints.
+
+    Block j is the same SplitMix64 output as in ``_toss_block``, and the scan
+    the same Shift-And as in ``_run_chunk``.  The last k - 1 tosses ride
+    below the block as one int, ``stream``, so bit r + k - 1 of ``stream`` is
+    toss 64j + r + 1, and a word of any length takes k shifts of one int.
+    """
+    letters = cfg.word.letters
+    k, cap = len(letters), cfg.max_tosses_per_trial
+    # the copy of the stream whose bit r is the toss d places before toss 64j + r + 1,
+    # complemented where the letter d places before the word's end is T
+    copies = [(k - 1 - d, _MASK * (letters[k - 1 - d] == "T")) for d in range(k)]
+    blocks = -(-cap // 64)
+    # the blocks that hold a toss before toss k, and the last one, which may pass the cap
+    edges = {j: _valid_bits(k, cap, j) for j in (*range(-(-(k - 1) // 64)), blocks - 1)}
+    histogram: dict[int, int] = {}
+    truncated = 0
+    for trial in range(lo, hi):
+        start = cfg.seed + (trial * _TRIAL_STRIDE + 1) * _GAMMA
+        stream = 0
+        for j in range(blocks):
+            z = (start + j * _GAMMA) & _MASK
+            z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+            stream = (stream >> 64) | ((z ^ (z >> 31)) << (k - 1))
+            match = edges.get(j, _MASK)
+            for shift, flip in copies:
+                match &= (stream >> shift) ^ flip
+                if not match:
+                    break
+            if match:
+                wait = 64 * j + (match & -match).bit_length()
+                histogram[wait] = histogram.get(wait, 0) + 1
+                break
+        else:
+            truncated += 1
+    return histogram, truncated
+
+
+def _toss_block(seed: int, trial, j: int):
+    """Toss block ``j`` (a SplitMix64 output) of each trial index in the
+    numpy array ``trial``."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         z = np.uint64(seed) + (
             trial * np.uint64(_TRIAL_STRIDE) + np.uint64(j) + np.uint64(1)
-        ) * _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        ) * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
 
-def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Waiting-time histogram for one trial range: (values, counts, truncated).
+def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple:
+    """Waiting-time histogram for one trial range: (values, counts, truncated),
+    the first two as numpy arrays.
 
     A Shift-And scan (Baeza-Yates and Gonnet, CACM 1992) reads each 64-toss
     block in about k word-wide operations for a word of k letters.  Bit r of
@@ -122,6 +206,8 @@ def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
     leaves the active arrays, so block j is generated only for trials still
     running at toss 64j + 1 and memory stays O(hi - lo) whatever the cap.
     """
+    import numpy as np
+
     letters = cfg.word.letters
     k = len(letters)
     cap = cfg.max_tosses_per_trial
@@ -140,10 +226,8 @@ def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
             if letters[k - 1 - d] == "T":
                 np.invert(copy, out=copy)
             match = copy if match is None else np.bitwise_and(match, copy, out=match)
-        low = min(max(k - 1 - 64 * j, 0), 64)
-        high = min(cap - 64 * j, 64)
-        valid = ((1 << high) - 1) & ~((1 << low) - 1)
-        if valid != (1 << 64) - 1:
+        valid = _valid_bits(k, cap, j)
+        if valid != _MASK:
             match &= np.uint64(valid)
         history = window[: len(history)]
         hit = match != 0
@@ -161,15 +245,11 @@ def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
     return values, cnts, int(trial.size)
 
 
-def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
-    """Run all trials and aggregate.
+def _run_chunks(cfg: TrialConfig, workers: int) -> tuple[dict[int, int], int]:
+    """The histogram and the truncated count of the whole run, from
+    ``_run_chunk`` over fixed chunks of trials on a pool of threads."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    ``workers`` only controls scheduling; the per-trial substreams and the
-    integer merge make the summary independent of it.  The pool has at most
-    one thread per chunk and per core.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     spans = [
         (lo, min(lo + _CHUNK, cfg.trials)) for lo in range(0, cfg.trials, _CHUNK)
     ]
@@ -185,19 +265,56 @@ def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
         truncated += trunc
         for v, c in zip(values.tolist(), cnts.tolist()):
             histogram[v] = histogram.get(v, 0) + c
+    return histogram, truncated
+
+
+def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
+    """Run all trials and aggregate.
+
+    A run of at most ``_SCALAR_BLOCKS`` expected toss blocks is scanned in
+    Python ints, a larger one in numpy arrays; both give the same summary.
+    ``workers`` only controls scheduling; the per-trial substreams and the
+    integer merge make the summary independent of it.  The numpy route's
+    pool has at most one thread per chunk and per core.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if _expected_blocks(cfg) <= _SCALAR_BLOCKS:
+        histogram, truncated = _run_scalar(cfg, 0, cfg.trials)
+    else:
+        histogram, truncated = _run_chunks(cfg, workers)
     return EmpiricalSummary(
         cfg.word, cfg.trials, cfg.seed, truncated, dict(sorted(histogram.items()))
     )
 
 
+def _counts_at(w: Word, waits: list[int]) -> dict[int, int]:
+    """a(n) for each n in ``waits``, ascending and each at least k = len(w),
+    stepping the count recurrence while keeping only the last k terms."""
+    den = builtin_spec(w).den
+    k = len(den) - 1
+    coeffs = [-den[k - i] for i in range(k)]  # of a(n - k) .. a(n - 1) in a(n), for n > k
+    window = deque([0] * (k - 1) + [1], maxlen=k)  # a(1) .. a(k)
+    out, n = {}, k
+    for wait in waits:
+        for _ in range(n, wait):
+            window.append(sum(map(mul, coeffs, window)))
+        n = wait
+        out[wait] = window[-1]
+    return out
+
+
 def histogram_csv(summary: EmpiricalSummary) -> str:
-    """CSV of the waiting-time histogram against the exact pmf."""
+    """CSV of the waiting-time histogram against the exact pmf.
+
+    The counts a(n) are read at the histogram's waiting times only, so the
+    terms kept are the word's k, not every term up to the longest wait."""
     lines = ["n,empirical_count,empirical_p,exact_p"]
     if summary.histogram:
-        seq = counts(summary.word, max(summary.histogram))
+        exact = _counts_at(summary.word, sorted(summary.histogram))
         for n, c in summary.histogram.items():
             emp = Fraction(c, summary.trials)
-            lines.append(f"{n},{c},{emp},{Fraction(seq.at(n), 1 << n)}")
+            lines.append(f"{n},{c},{emp},{Fraction(exact[n], 1 << n)}")
     return "\n".join(lines) + "\n"
 
 

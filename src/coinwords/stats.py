@@ -17,6 +17,7 @@ look but never decides the answer.
 """
 
 import math
+import re
 from functools import total_ordering
 from fractions import Fraction
 
@@ -229,11 +230,67 @@ def _quantile_text(q: Fraction) -> str:
     if num.bit_length() < 14285 > den.bit_length() or num < 10**4300 > den:
         return str(q)
     log10 = math.log10(num) - math.log10(den)
-    exponent = math.floor(log10)
-    mantissa = f"{10 ** (log10 - exponent):.3g}"
-    if mantissa == "10":
-        mantissa, exponent = "1", exponent + 1
-    return f"about {'-' * (q < 0)}{mantissa}e{exponent}"
+    power = math.floor(log10)
+    return _about(q < 0, power, 10 ** (log10 - power))
+
+
+def _about(negative: bool, power: int, mantissa: float) -> str:
+    """"about" -mantissa * 10**power (or +), 1 <= mantissa < 10, to 3 significant digits."""
+    digits = f"{mantissa:.3g}"
+    if digits == "10":
+        digits, power = "1", power + 1
+    return f"about {'-' * negative}{digits}e{power}"
+
+
+def _past_limit(w: Word, q_text: str, near: float) -> ValueError:
+    """The refusal of a threshold past the limit, for q printed as ``q_text``
+    and the decay model's answer ``near``."""
+    return ValueError(
+        f"threshold of {w} at q = {q_text} lies past the limit n = {_THRESHOLD_LIMIT}"
+        f" (the decay model puts it near n = {near:.3g})"
+    )
+
+
+# Fraction's decimal syntax with an exponent: sign, whole digits, fraction digits, exponent
+_SCIENTIFIC = re.compile(
+    r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?e([-+]?\d+(?:_\d+)*)\s*",
+    re.IGNORECASE,
+)
+
+
+def _refuse_by_exponent(w: Word, text: str) -> None:
+    """Refuse a decimal quantile that its exponent alone puts above 1 or past
+    the limit, before ``Fraction(text)`` builds 10**exponent:
+    ``Fraction("1e-10000000")`` takes seconds.
+
+    Every word has b(m) >= 1, so tail(L) >= 2**-(L-1) at L =
+    _THRESHOLD_LIMIT + 1, and every q below 2**-L lies past the limit.  Only
+    a q that ``threshold`` would print as "about" q is refused here, with
+    ``threshold``'s own message; other texts are left to ``Fraction``, which
+    reads them quickly.
+    """
+    match = _SCIENTIFIC.fullmatch(text)
+    if not match:
+        return
+    sign, whole, fraction, exponent = (part.replace("_", "") for part in match.groups(""))
+    digits = (whole + fraction).lstrip("0")
+    if not digits:
+        raise ValueError("quantile must satisfy 0 < q <= 1, got 0")
+    power = int(exponent) - len(fraction) + len(digits) - 1  # 10**power <= |q| < 10**(power + 1)
+    if -4301 < power < 4300:  # Fraction builds it quickly, and a refusal may print it exactly
+        return
+    head = digits[:17]
+    mantissa, negative = int(head) / 10 ** (len(head) - 1), sign == "-"
+    if negative or power >= 0:
+        raise ValueError(
+            f"quantile must satisfy 0 < q <= 1, got {_about(negative, power, mantissa)}"
+        )
+    limit = _THRESHOLD_LIMIT + 1
+    if power + 1 <= -math.ceil(limit / math.log2(10)):  # |q| < 10**(power + 1) <= 2**-limit
+        ln_a, ln_rate = _decay(w)
+        # the power is clamped only so that it converts to a float
+        ln_q = math.log(10) * (max(power, -10**300) + math.log10(mantissa))
+        raise _past_limit(w, _about(False, power, mantissa), 1 + (ln_a - ln_q) / ln_rate)
 
 
 def threshold(w: Word, q: Fraction | float | str) -> int:
@@ -252,6 +309,8 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
     more letters at q <= 1/2), the refusal needs no look.  Otherwise, when
     the model puts the answer past L, one look at L decides.
     """
+    if isinstance(q, str):
+        _refuse_by_exponent(w, q)
     q = Fraction(q)
     if not 0 < q <= 1:
         raise ValueError(f"quantile must satisfy 0 < q <= 1, got {_quantile_text(q)}")
@@ -287,10 +346,7 @@ def threshold(w: Word, q: Fraction | float | str) -> int:
                 return n
             hi = n - 1
         n = next_n
-    raise ValueError(
-        f"threshold of {w} at q = {_quantile_text(q)} lies past the limit n = {_THRESHOLD_LIMIT}"
-        f" (the decay model puts it near n = {1 + (ln_a - ln_q) / ln_rate:.3g})"
-    )
+    raise _past_limit(w, _quantile_text(q), 1 + (ln_a - ln_q) / ln_rate)
 
 
 def partial_moment_sums(w: Word, n_max: int) -> tuple[Fraction, Fraction]:

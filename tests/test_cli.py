@@ -259,6 +259,22 @@ class TestThreshold:
         )
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ("1e-10000000", "threshold of HTH at q = about 1e-10000000 lies past the limit "
+                            "n = 100000 (the decay model puts it near n = 1.76e+08)"),
+            ("1e10000000", "quantile must satisfy 0 < q <= 1, got about 1e10000000"),
+        ],
+        ids=["past-the-limit", "above-1"],
+    )
+    def test_q_is_refused_from_its_exponent(self, capsys, q, message):
+        # Fraction(q) alone would build 10**10000000, which takes seconds
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "threshold", "HTH", q)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"coinwords: error: {message}\n")
+
     def test_past_the_scan_limit_is_domain_error(self, capsys, monkeypatch):
         monkeypatch.setattr(stats, "_THRESHOLD_LIMIT", 50)
         code, out, err = run_cli(capsys, "threshold", "HHHHHHHHHH", "0.5")
@@ -422,6 +438,19 @@ CORRUPTED_INPUTS = {
     ),
     # sums cut at n = 100: HH's second moment is still 8e-6 short
     "moment-sums": ("partial_moment_sums", lambda exact: lambda w, n: exact(w, n // 4), "HH"),
+    # an automaton that runs one term too far for 5-letter words that start with T,
+    # which only the length-5 sweep reaches
+    "complement-symmetry": (
+        "automaton_counts",
+        lambda exact: lambda w, n: exact(w, n + (len(w) == 5 and w.letters[0] == "T")),
+        "HHHHH vs TTTTT",
+    ),
+    # a partial-fraction sum that is off the real axis
+    "root-formula": (
+        "root_formula_count",
+        lambda exact: lambda model, n: exact(model, n) + 1e-3j,
+        "HT at n=1: imag 1.00e-03",
+    ),
 }
 
 

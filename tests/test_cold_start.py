@@ -1,8 +1,9 @@
-"""Cold start: every command but ``simulate``, and a bare ``import coinwords``,
-load no numpy, and ``simulate`` does; the exact commands, ``verify`` and a
-bare import load no ``dataclasses`` or ``inspect`` either; the exact
-commands load no ``threading``; a bare import loads no submodule, and each
-command only the submodules it uses.
+"""Cold start: every command, and a bare ``import coinwords``, loads no numpy,
+except a ``simulate`` past montecarlo's bound of expected work, which does;
+the exact commands, ``verify`` and a bare import load no ``dataclasses`` or
+``inspect`` either; the exact commands and a ``simulate`` within the bound
+load no ``threading``; a bare import loads no submodule, and each command
+only the submodules it uses.
 
 pytest has imported numpy long before these tests run, so each check starts
 a fresh interpreter with PYTHONPATH set to this tree's src/.
@@ -66,14 +67,25 @@ CHECK_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", EXACT_COMMANDS + CHECK_COMMANDS, ids=" ".join)
+# simulate runs of at most montecarlo._SCALAR_BLOCKS = 8192 expected toss
+# blocks, scanned in Python ints: 7084 trials of HTH are 8190.9 blocks
+SMALL_SIMULATE = [
+    ("simulate", "HTH", "--trials", "4000", "--seed", "3"),
+    ("simulate", "HTHH", "--trials", "4000", "--seed", "3", "--format", "csv"),
+    ("simulate", "HTH", "--trials", "7084", "--seed", "3", "--workers", "2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", EXACT_COMMANDS + CHECK_COMMANDS + SMALL_SIMULATE, ids=" ".join
+)
 def test_exact_command_loads_no_numpy(tmp_path, argv):
     modules = loaded_modules(tmp_path, "-m", "coinwords.cli", *argv)
     assert "coinwords.stats" in modules  # the probe ran the command
     assert not [m for m in modules if m.split(".")[0] == "numpy"]
 
 
-@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", EXACT_COMMANDS + SMALL_SIMULATE, ids=" ".join)
 def test_exact_command_loads_no_threading(tmp_path, argv):
     # -S: without site, whose .pth files may import threading on their own
     modules = loaded_modules(tmp_path, "-m", "coinwords.cli", *argv, flags=("-S",))
@@ -115,8 +127,12 @@ def test_bare_import_loads_no_numpy(tmp_path):
     assert "coinwords.closedform" not in modules and "coinwords.montecarlo" not in modules
 
 
+# past the bound: 7085 trials of HTH are 8192.03 expected blocks, the default
+# 100000 trials 115625
 @pytest.mark.parametrize(
-    "argv", [("simulate", "HTH", "--trials", "2000", "--seed", "3")], ids=" ".join
+    "argv",
+    [("simulate", "HTH", "--seed", "3"), ("simulate", "HTH", "--trials", "7085", "--seed", "3")],
+    ids=" ".join,
 )
 def test_numpy_commands_still_run_cold(tmp_path, argv):
     path = tmp_path / "modules.txt"

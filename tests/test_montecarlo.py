@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import tracemalloc
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwords import montecarlo
-from coinwords.counting import transition_table
+from coinwords.counting import counts, transition_table
 from coinwords.montecarlo import (
     EmpiricalSummary,
     TrialConfig,
+    _counts_at,
     _run_chunk,
+    _run_scalar,
     _toss_block,
     histogram_csv,
     run_trials,
@@ -56,6 +59,13 @@ def step_loop_chunk(cfg, lo, hi):
 def as_lists(chunk):
     values, cnts, truncated = chunk
     return values.tolist(), cnts.tolist(), truncated
+
+
+def scalar_lists(cfg, lo, hi):
+    """``_run_scalar`` over trials lo..hi - 1, in the form of ``as_lists``."""
+    histogram, truncated = _run_scalar(cfg, lo, hi)
+    values = sorted(histogram)
+    return values, [histogram[v] for v in values], truncated
 
 
 class TestTrialConfig:
@@ -103,7 +113,8 @@ class TestRunTrials:
                 return map(fn, items)
 
         cfg = TrialConfig(word=Word("HH"), trials=trials, seed=7)
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo, "_SCALAR_BLOCKS", 0)  # every run takes the pool
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
         inline = run_trials(cfg, workers=workers)
         assert sizes == [pool_size]
@@ -163,10 +174,12 @@ class TestRunTrials:
         cfg = TrialConfig(word=Word(letters), trials=1_000_000, seed=3)
         assert run_trials(cfg).truncated == 0
 
-    def test_huge_cap_allocates_per_chunk_not_per_cap(self):
+    def test_huge_cap_allocates_per_chunk_not_per_cap(self, monkeypatch):
         # every trial finishes long before the cap, so the blocks a trial
         # never reaches must never be generated (the whole array would be
-        # 256 x 65536 uint64 = 128 MiB)
+        # 256 x 65536 uint64 = 128 MiB); the run is small, so the numpy
+        # route is forced
+        monkeypatch.setattr(montecarlo, "_SCALAR_BLOCKS", 0)
         cfg = TrialConfig(
             word=Word("HTHH"), trials=256, seed=1, max_tosses_per_trial=1 << 22
         )
@@ -205,8 +218,8 @@ class TestRunTrials:
 
 
 class TestShiftAndScan:
-    """``_run_chunk`` against the step loop it replaced, kept above as the
-    reference."""
+    """``_run_chunk`` (numpy arrays) and ``_run_scalar`` (Python ints) against
+    the step loop the scan replaced, kept above as the reference."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_step_loop_at_block_edges(self, k):
@@ -216,6 +229,7 @@ class TestShiftAndScan:
                 cfg = TrialConfig(word=w, trials=1000, seed=17, max_tosses_per_trial=cap)
                 expected = as_lists(step_loop_chunk(cfg, 100, 700))
                 assert as_lists(_run_chunk(cfg, 100, 700)) == expected, (w, cap)
+                assert scalar_lists(cfg, 100, 700) == expected, (w, cap)
 
     @pytest.mark.parametrize("k", [64, 65, 66, 130])
     def test_words_longer_than_a_block(self, k):
@@ -228,6 +242,7 @@ class TestShiftAndScan:
             cfg = TrialConfig(word=w, trials=40, seed=5, max_tosses_per_trial=256)
             scanned = as_lists(_run_chunk(cfg, 0, 40))
             assert scanned == as_lists(step_loop_chunk(cfg, 0, 40))
+            assert scalar_lists(cfg, 0, 40) == scanned
             assert scanned[0][0] <= start + k
 
     @given(
@@ -241,13 +256,39 @@ class TestShiftAndScan:
     def test_property_matches_step_loop(self, letters, seed, cap, lo, n):
         cap = max(cap, len(letters))
         cfg = TrialConfig(word=Word(letters), trials=lo + n, seed=seed, max_tosses_per_trial=cap)
-        assert as_lists(_run_chunk(cfg, lo, lo + n)) == as_lists(step_loop_chunk(cfg, lo, lo + n))
+        expected = as_lists(step_loop_chunk(cfg, lo, lo + n))
+        assert as_lists(_run_chunk(cfg, lo, lo + n)) == expected
+        assert scalar_lists(cfg, lo, lo + n) == expected
 
     @pytest.mark.parametrize("letters, cap", [("HHH", 100), ("HTTH", 64), ("HHHHHHH", 300)])
     def test_single_trials_match_step_loop(self, letters, cap):
         cfg = TrialConfig(word=Word(letters), trials=64, seed=23, max_tosses_per_trial=cap)
         for i in range(64):
-            assert as_lists(_run_chunk(cfg, i, i + 1)) == as_lists(step_loop_chunk(cfg, i, i + 1)), i
+            expected = as_lists(step_loop_chunk(cfg, i, i + 1))
+            assert as_lists(_run_chunk(cfg, i, i + 1)) == expected, i
+            assert scalar_lists(cfg, i, i + 1) == expected, i
+
+    # 7084 trials of HTH are 7084 * (1 + 10/64) = 8190.9 expected blocks, 7085 are 8192.03
+    @pytest.mark.parametrize("trials, route", [(7084, "_run_scalar"), (7085, "_run_chunks")])
+    def test_run_trials_gives_one_summary_on_both_sides_of_the_bound(
+        self, monkeypatch, trials, route
+    ):
+        assert montecarlo._SCALAR_BLOCKS == 8192
+        cfg = TrialConfig(word=Word("HTH"), trials=trials, seed=29)
+        taken = []
+        for name in ("_run_scalar", "_run_chunks"):
+            real = getattr(montecarlo, name)
+            monkeypatch.setattr(
+                montecarlo, name, lambda *a, real=real, name=name: taken.append(name) or real(*a)
+            )
+        summary = run_trials(cfg, workers=2)
+        assert taken == [route]
+        scalar = montecarlo._run_scalar(cfg, 0, trials)
+        chunks = montecarlo._run_chunks(cfg, 1)
+        assert scalar == chunks
+        histogram, truncated = scalar
+        histogram = dict(sorted(histogram.items()))
+        assert summary == EmpiricalSummary(cfg.word, trials, 29, truncated, histogram)
 
 
 class TestCsv:
@@ -271,6 +312,12 @@ class TestCsv:
             exact = pmf(s.word, n).as_fraction()
             per_bin.append(f"{n},{c},{Fraction(c, s.trials)},{exact}")
         assert histogram_csv(s) == "\n".join(per_bin) + "\n"
+
+    @pytest.mark.parametrize("letters", ["H", "HT", "HTH", "HHHH", "HTHTTHHTHT"])
+    def test_counts_read_at_the_waits_match_the_counts(self, letters):
+        seq = counts(Word(letters), 300)
+        waits = sorted({len(letters), len(letters) + 1, 11, 64, 65, 299, 300})
+        assert _counts_at(Word(letters), waits) == {n: seq.at(n) for n in waits}
 
     def test_histogram_of_all_truncated_run_is_header_only(self):
         cfg = TrialConfig(

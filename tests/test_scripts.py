@@ -95,11 +95,17 @@ def test_bench_layers(tmp_path):
         assert float(f"{row['current_ms']:.3g}") == row["current_ms"]
     for workers in (1, 2):
         assert report["rows"][f"run_trials HHH 1000000 trials workers={workers}"]["current_ms"] > 0
+    # the run_trials rows are timed first, the two at montecarlo's bound leading
+    assert list(report["rows"])[:6] == [
+        "run_trials HTH 7084 trials", "run_trials HTH 7085 trials",
+        "run_trials HTHH 65536 trials cap=512", "run_trials HTHH 65536 trials cap=8192",
+        "run_trials HHH 1000000 trials workers=1", "run_trials HHH 1000000 trials workers=2",
+    ]
     cold = [name for name in report["rows"] if name.startswith("cold ")]
     assert cold == [
         "cold import coinwords", "cold counts HTHT 20", "cold counts HTH 40 csv",
         "cold tail HTH 22", "cold threshold HHH 1e-100", "cold stats HTHT", "cold gf HTH --m 8",
         "cold simulate HTHH 65536 trials", "cold verify --full", "cold verify",
-        "cold counts HTH 14 engine=brute",
+        "cold counts HTH 14 engine=brute", "cold simulate HTH 4000 trials",
     ]
     assert all(report["rows"][name]["current_ms"] > 0 for name in cold)

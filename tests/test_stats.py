@@ -2,6 +2,7 @@ import decimal
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -291,10 +292,55 @@ class TestThreshold:
             threshold(Word(letters), q)
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1e-30105", "2.5E-40000", "-3e-5000", "1e5000", "0.00012e4400", "1_0e-40000",
+         "9.999e-30200", " 7e-100000 ", "0e-5000", "1e4299", "1e4300", "-1e-4300", "-1e-4301"],
+    )
+    def test_refusal_from_the_text_is_the_refusal_of_the_value(self, text):
+        # these texts are refused before Fraction reads them, with the message
+        # that the value itself gets
+        with pytest.raises(ValueError) as from_text:
+            threshold(Word("HTH"), text)
+        with pytest.raises(ValueError) as from_value:
+            threshold(Word("HTH"), Fraction(text))
+        assert str(from_text.value) == str(from_value.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1e-10000000", "threshold of HTH at q = about 1e-10000000 lies past the limit "
+                            "n = 100000 (the decay model puts it near n = 1.76e+08)"),
+            ("1e10000000", "quantile must satisfy 0 < q <= 1, got about 1e10000000"),
+            ("-2e-10000000", "quantile must satisfy 0 < q <= 1, got about -2e-10000000"),
+        ],
+    )
+    def test_huge_exponent_is_refused_from_its_text(self, text, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            threshold(Word("HTH"), text)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == message
+
+    def test_exponent_inside_the_bounds_is_read_exactly(self):
+        # 10**-30103 lies above 2**-100001, so Fraction reads it and the
+        # exact path refuses it; HT's tail falls below 10**-30050 before
+        # n = 100001, so that q is answered
+        with pytest.raises(ValueError, match="at q = about 1e-30103 lies past the limit"):
+            threshold(Word("HTH"), "1e-30103")
+        assert threshold(Word("HT"), "1e-30050") == threshold(Word("HT"), Fraction(1, 10**30050))
+        assert threshold(Word("HH"), "1e-4300") == threshold(Word("HH"), Fraction(1, 10**4300))
+
     def test_refusal_prints_a_q_of_4300_digits_exactly(self):
         q = Fraction(1, 10**4300 - 1)  # 14285 bits, as many as 10**4300 has
         with pytest.raises(ValueError, match=f"at q = {q} lies past the limit n = 100000"):
             threshold(Word("HHH"), q)
+
+
+def test_quantile_text_carries_a_mantissa_that_rounds_to_10():
+    # 9.999e-4999 rounds to "10" at 3 significant digits
+    assert stats._quantile_text(Fraction(9999, 10**5002)) == "about 1e-4998"
+    assert stats._quantile_text(-Fraction(9999, 10**5002)) == "about -1e-4998"
 
 
 def fraction_scan_threshold(w, q):
