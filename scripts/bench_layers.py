@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline 08292fa --repeats 21   # writes BENCH_22.json
+    python scripts/bench_layers.py --baseline 2eb5519 --repeats 21   # writes BENCH_23.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -66,12 +66,12 @@ def _cases() -> dict:
 
     from coinwords import Word, closedform, counting, verify
     from coinwords.counting import (
-        ESSENTIAL_WORDS, automaton_counts, builtin_spec, counts, extend_counts, nth_terms,
-        transition_table,
+        ESSENTIAL_WORDS, CountSequence, automaton_counts, builtin_spec, counts, extend_counts,
+        nth_terms, transition_table,
     )
     from coinwords.genfun import closed_gf, finite_gf
     from coinwords.montecarlo import TrialConfig, run_trials
-    from coinwords.stats import DyadicRational, cdf, pmf, tail, threshold
+    from coinwords.stats import DyadicRational, cdf, closed_tail, pmf, tail, threshold
     from coinwords.words import all_words, brute_force_count
 
     hth, long_word = Word("HTH"), Word(LONG_WORD)
@@ -100,6 +100,7 @@ def _cases() -> dict:
         builtin_spec(long_word), (19999, 20000)
     )
     cases["cdf HTH m=2"] = lambda: cdf(hth, 2)  # a term below the word's length
+    cases["closed_tail HTH n=20000"] = lambda: closed_tail(hth, 20000)
     for letters in ("HHH", "HTH"):
         cases[f"threshold {letters} q=1e-100"] = lambda w=Word(letters): threshold(w, deep)
     for letters in ("HHHHHHHHHH", "HTHTHTHTHT"):
@@ -145,6 +146,12 @@ def _cases() -> dict:
     cases["hash(Word) x1000"] = lambda: [hash(long_word) for _ in thousand]
     cases["DyadicRational(12345 << 3, 40) x1000"] = lambda: [
         DyadicRational(12345 << 3, 40) for _ in thousand
+    ]
+    cases["CountSequence((0, 1, 1, 2)) x1000"] = lambda: [
+        CountSequence((0, 1, 1, 2)) for _ in thousand
+    ]
+    cases['CheckResult("reference-counts", True, "rows", 0.25) x1000'] = lambda: [
+        verify.CheckResult("reference-counts", True, "rows", 0.25) for _ in thousand
     ]
     # the run_trials rows first (see the module docstring)
     return dict(sorted(cases.items(), key=lambda item: not item[0].startswith("run_trials")))
@@ -285,7 +292,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_22.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_23.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

@@ -16,7 +16,7 @@ import cmath
 import itertools
 
 from .counting import builtin_spec, extend_counts
-from .words import Word, _Record, _set_field
+from .words import Word, _Record
 
 __all__ = [
     "DEFAULT_CERTIFY_PROBE",
@@ -51,22 +51,6 @@ class ClosedFormModel(_Record):
     __slots__ = (
         "word", "roots", "weights", "unit_slope", "unit_intercept", "reliability_horizon"
     )
-
-    def __init__(
-        self,
-        word: Word,
-        roots: tuple[complex, ...],
-        weights: tuple[complex, ...],
-        unit_slope: float,
-        unit_intercept: float,
-        reliability_horizon: int,
-    ) -> None:
-        _set_field(self, "word", word)
-        _set_field(self, "roots", roots)
-        _set_field(self, "weights", weights)
-        _set_field(self, "unit_slope", unit_slope)
-        _set_field(self, "unit_intercept", unit_intercept)
-        _set_field(self, "reliability_horizon", reliability_horizon)
 
 
 def _ceval(coeffs: tuple[float, ...], z: complex) -> complex:

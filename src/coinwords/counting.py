@@ -21,7 +21,10 @@ program over the prefix-match states of the pattern automaton counts the
 same sequence.  All arithmetic uses Python's unbounded integers.
 """
 
+from collections import deque
 from functools import lru_cache
+from itertools import chain, islice, repeat
+from operator import mul
 
 from .words import Word, _Record, _set_field, brute_force_count
 
@@ -103,9 +106,6 @@ class CountSequence(_Record):
 
     __slots__ = ("values",)
 
-    def __init__(self, values: tuple[int, ...]) -> None:
-        _set_field(self, "values", values)
-
     def at(self, n: int) -> int:
         """a(n) for 1 <= n <= len(self)."""
         if n < 1:
@@ -144,6 +144,22 @@ def extend_counts(spec: RecurrenceSpec, n_max: int) -> CountSequence:
     for _ in range(len(num), n_max):
         values.append(sum(c * values[i] for i, c in terms))
     return CountSequence(tuple(values[pad:]))
+
+
+def _terms_at(spec: RecurrenceSpec, indices) -> list[int]:
+    """The terms of ``spec`` at ``indices`` (ascending, each >= 1), stepping the
+    recurrence term by term and keeping only the last k = deg den terms, so
+    memory holds k terms however far the indices reach."""
+    k = len(spec.den) - 1
+    coeffs = [-d for d in spec.den[:0:-1]]  # of t(n - k) .. t(n - 1) in t(n)
+    window = deque([0] * k, maxlen=k)  # t(n - k + 1) .. t(n), from n = 0
+    extra = chain(spec.num, repeat(0))  # num[n - 1], added to t(n)
+    out = []
+    for last, index in zip((0, *indices), indices):
+        for p in islice(extra, index - last):
+            window.append(p + sum(map(mul, coeffs, window)))
+        out.append(window[-1])
+    return out
 
 
 def _signed_split(b: list[int]) -> tuple[list, list]:

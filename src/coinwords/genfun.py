@@ -11,7 +11,7 @@ probability of seeing the pattern within m tosses) or expanded by ``series``.
 
 from fractions import Fraction
 
-from .counting import builtin_spec, counts, extend_counts
+from .counting import _terms_at, builtin_spec, counts
 from .words import Word, _Record, _set_field
 
 __all__ = [
@@ -179,6 +179,6 @@ def truncation_remainder(w: Word, m: int) -> Polynomial:
             f"truncation remainder of a length-{k} word needs m >= {lowest}, got {m}"
         )
     spec = builtin_spec(w)
-    seq = extend_counts(spec, m + k)
-    top = [sum(spec.den[i] * seq.at(m + j - i) for i in range(j)) for j in range(1, k + 1)]
+    a = _terms_at(spec, range(m + 1, m + k + 1))  # a(m + 1) .. a(m + k)
+    top = [sum(spec.den[i] * a[j - 1 - i] for i in range(j)) for j in range(1, k + 1)]
     return Polynomial((0,) * (m + 1 - k) + tuple(top))

@@ -15,17 +15,16 @@ trials in fixed-size chunks (``_run_chunk``), merged with order-insensitive
 integer accumulation, so results are bit-identical no matter how many
 workers run or how the chunks are scheduled.  Only the numpy route imports
 numpy and ``concurrent.futures``: a small run, such as a ``simulate`` of a
-few thousand trials, skips numpy's 120 ms import.
+few thousand trials, skips numpy's 120 ms import.  The exact pmf of the CSV
+comes from ``counting``'s stepper; this module steps no count recurrence.
 """
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 
 # transition_table is unused here, but perfbench's self-test reads this binding.
-from .counting import _overlaps, builtin_spec, transition_table  # noqa: F401
+from .counting import _overlaps, _terms_at, builtin_spec, transition_table  # noqa: F401
 from .words import Word
 
 __all__ = [
@@ -288,33 +287,17 @@ def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
     )
 
 
-def _counts_at(w: Word, waits: list[int]) -> dict[int, int]:
-    """a(n) for each n in ``waits``, ascending and each at least k = len(w),
-    stepping the count recurrence while keeping only the last k terms."""
-    den = builtin_spec(w).den
-    k = len(den) - 1
-    coeffs = [-den[k - i] for i in range(k)]  # of a(n - k) .. a(n - 1) in a(n), for n > k
-    window = deque([0] * (k - 1) + [1], maxlen=k)  # a(1) .. a(k)
-    out, n = {}, k
-    for wait in waits:
-        for _ in range(n, wait):
-            window.append(sum(map(mul, coeffs, window)))
-        n = wait
-        out[wait] = window[-1]
-    return out
-
-
 def histogram_csv(summary: EmpiricalSummary) -> str:
     """CSV of the waiting-time histogram against the exact pmf.
 
-    The counts a(n) are read at the histogram's waiting times only, so the
-    terms kept are the word's k, not every term up to the longest wait."""
+    ``counting._terms_at`` reads a(n) at the histogram's waiting times only,
+    keeping the word's last k terms, not every term up to the longest wait."""
     lines = ["n,empirical_count,empirical_p,exact_p"]
-    if summary.histogram:
-        exact = _counts_at(summary.word, sorted(summary.histogram))
-        for n, c in summary.histogram.items():
-            emp = Fraction(c, summary.trials)
-            lines.append(f"{n},{c},{emp},{Fraction(exact[n], 1 << n)}")
+    waits = sorted(summary.histogram)
+    exact = dict(zip(waits, _terms_at(builtin_spec(summary.word), waits)))
+    for n, c in summary.histogram.items():
+        emp = Fraction(c, summary.trials)
+        lines.append(f"{n},{c},{emp},{Fraction(exact[n], 1 << n)}")
     return "\n".join(lines) + "\n"
 
 

@@ -24,9 +24,9 @@ from fractions import Fraction
 from .counting import (
     _avoidance_spec,
     _overlaps,
+    _terms_at,
     builtin_spec,
     counts,
-    extend_counts,
     nth_term,
     nth_terms,
 )
@@ -106,11 +106,6 @@ class WordStats(_Record):
 
     __slots__ = ("mean", "variance", "stddev")
 
-    def __init__(self, mean: Fraction, variance: Fraction, stddev: float) -> None:
-        _set_field(self, "mean", mean)
-        _set_field(self, "variance", variance)
-        _set_field(self, "stddev", stddev)
-
 
 def pmf(w: Word, n: int) -> DyadicRational:
     """P(first occurrence ends exactly at toss n) = a(n)/2**n."""
@@ -136,13 +131,13 @@ def tail(w: Word, n: int) -> DyadicRational:
 def closed_tail(w: Word, n: int) -> DyadicRational:
     """Tail probability via the avoidance counts: b(n-1) / 2**(n-1).
 
-    Runs the avoidance recurrence term by term with ``extend_counts``, an
-    independent route to the same value as :func:`tail`, which jumps to
-    b(n-1) with ``nth_term``.
+    Steps the avoidance recurrence term by term to b(n-1), keeping only the
+    last k terms: an independent route to the same value as :func:`tail`,
+    which jumps to b(n-1) with ``nth_term``.
     """
     if n < 1:
         raise ValueError(f"toss index must be >= 1, got {n}")
-    return DyadicRational(extend_counts(_avoidance_spec(w), n).at(n), n - 1)
+    return DyadicRational(_terms_at(_avoidance_spec(w), (n,))[0], n - 1)
 
 
 def moments(w: Word) -> WordStats:

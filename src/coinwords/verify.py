@@ -28,7 +28,7 @@ from .counting import (
 )
 from .genfun import Polynomial, closed_gf, finite_gf, truncation_remainder
 from .stats import DyadicRational, cdf, moments, partial_moment_sums, tail
-from .words import Word, _Record, _set_field, all_words, brute_force_count
+from .words import Word, _Record, all_words, brute_force_count
 
 __all__ = ["CheckResult", "run_checks", "REFERENCE_COUNTS"]
 
@@ -50,12 +50,6 @@ class CheckResult(_Record):
     """One check's verdict, its detail line and its wall time in seconds."""
 
     __slots__ = ("name", "passed", "detail", "seconds")
-
-    def __init__(self, name: str, passed: bool, detail: str, seconds: float) -> None:
-        _set_field(self, "name", name)
-        _set_field(self, "passed", passed)
-        _set_field(self, "detail", detail)
-        _set_field(self, "seconds", seconds)
 
 
 def _lengths(words: tuple[Word, ...]) -> str:
@@ -245,8 +239,8 @@ def run_checks(depth: str = "quick") -> list[CheckResult]:
     """Run the whole suite; ``depth`` is 'quick' or 'full'.
 
     Full mode pushes the enumeration oracle to n = 20 and widens the
-    complement sweep.  On a 2-core Intel Xeon, quick mode takes 33.4 ms and
-    full mode 44.6 ms (medians of 21 rounds, ``BENCH_21.json``).  Each result
+    complement sweep.  On a 2-core Intel Xeon, quick mode takes 30.5 ms and
+    full mode 39.6 ms (medians of 7 rounds, ``BENCH_23.json``).  Each result
     carries the wall time of its check in ``seconds``.
     """
     if depth not in ("quick", "full"):

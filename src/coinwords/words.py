@@ -29,14 +29,22 @@ _set_field = object.__setattr__
 class _Record:
     """An immutable value whose fields are the ``__slots__`` of its class, set in
     ``__init__`` with ``_set_field``: a frozen dataclass without the cold-start
-    cost of importing ``dataclasses``.  It equals only a record of its own class
-    with equal fields, and ``_fields`` reads them all in one C call.
+    cost of importing ``dataclasses``.  A class with no ``__init__`` of its own
+    gets ``__init__(self, <slots>)``, built as a frozen dataclass builds it.  A
+    record equals only a record of its own class with equal fields, and
+    ``_fields`` reads them all in one C call.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = operator.attrgetter(*cls.__slots__)
+        if "__init__" not in vars(cls):
+            body = "".join(f"\n    _set_field(self, {name!r}, {name})" for name in cls.__slots__)
+            namespace: dict = {}
+            exec(f"def __init__(self, {', '.join(cls.__slots__)}):{body}", globals(), namespace)
+            namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = namespace["__init__"]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -333,6 +333,10 @@ class TestSimulate:
 
 
 class TestVerifyCommand:
+    def test_unknown_depth_is_refused(self):
+        with pytest.raises(ValueError, match="^depth must be 'quick' or 'full', got 'deep'$"):
+            run_checks("deep")
+
     @pytest.mark.parametrize(
         "flag, depth, brute_n, max_len", [("--quick", "quick", 14, 4), ("--full", "full", 20, 5)]
     )

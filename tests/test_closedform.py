@@ -145,6 +145,10 @@ class TestClosedFormCount:
         with pytest.raises(ValueError, match="horizon"):
             closed_form_count(model, model.reliability_horizon + 1)
 
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            closed_form_count(solve_denominator(Word("HH")), 0)
+
     @pytest.mark.parametrize("letters", ESSENTIAL)
     def test_exact_on_certified_range(self, letters):
         w = Word(letters)

@@ -196,6 +196,12 @@ def test_unknown_attribute_raises():
     assert out.strip() == "module 'coinwords' has no attribute 'no_such_name'"
 
 
+def test_dir_lists_every_export():
+    import coinwords
+
+    assert set(coinwords.__all__) <= set(dir(coinwords))
+
+
 def test_export_reads_its_loaded_submodule_each_time(monkeypatch):
     import coinwords
     import coinwords.stats

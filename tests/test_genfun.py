@@ -1,10 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwords.counting import builtin_spec, counts
+from coinwords.counting import builtin_spec, counts, extend_counts
 from coinwords.genfun import (
     Polynomial,
     RationalFunction,
@@ -210,6 +211,10 @@ class TestEval:
         with pytest.raises(ZeroDivisionError, match="vanishes at x = 1"):
             f(1)
 
+    def test_zero_denominator_is_refused(self):
+        with pytest.raises(ZeroDivisionError, match="^rational function with zero denominator$"):
+            RationalFunction(Polynomial((1,)), Polynomial())
+
 
 class TestSeries:
     def test_hh_series(self):
@@ -245,6 +250,22 @@ class TestTruncationIdentity:
                 (0,) * (m - 2) + (a[m + 1], b * a[m] + c * a[m - 1], c * a[m])
             )
             assert truncation_remainder(w, m) == expected, f"{letters} at m={m}"
+
+    def test_remainder_keeps_k_terms_not_m(self):
+        # every count up to a(m + k) held at once peaked at 21.7 MiB; the
+        # remainder itself, m - 2 zeros and three terms, is about 0.3 MiB
+        w, m = Word("HTH"), 20000
+        tracemalloc.start()
+        try:
+            remainder = truncation_remainder(w, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, b, c = (-d for d in builtin_spec(w).den[1:])
+        a = (0, *extend_counts(builtin_spec(w), m + 1).values)
+        expected = (a[m + 1], b * a[m] + c * a[m - 1], c * a[m])
+        assert remainder == Polynomial((0,) * (m - 2) + expected)
+        assert peak < 2 << 20
 
     def test_remainder_answers_every_length_and_refuses_small_m(self):
         for letters in ("H", "HH", "HTHT"):

@@ -10,11 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwords import montecarlo
-from coinwords.counting import counts, transition_table
+from coinwords.counting import (
+    _avoidance_spec,
+    _terms_at,
+    automaton_counts,
+    builtin_spec,
+    transition_table,
+)
 from coinwords.montecarlo import (
     EmpiricalSummary,
     TrialConfig,
-    _counts_at,
     _run_chunk,
     _run_scalar,
     _toss_block,
@@ -315,9 +320,14 @@ class TestCsv:
 
     @pytest.mark.parametrize("letters", ["H", "HT", "HTH", "HHHH", "HTHTTHHTHT"])
     def test_counts_read_at_the_waits_match_the_counts(self, letters):
-        seq = counts(Word(letters), 300)
-        waits = sorted({len(letters), len(letters) + 1, 11, 64, 65, 299, 300})
-        assert _counts_at(Word(letters), waits) == {n: seq.at(n) for n in waits}
+        """The stepper that ``histogram_csv`` reads, on the count spec and the
+        avoidance spec, against the automaton's a(n) and b(m) = 2 b(m-1) - a(m)."""
+        w = Word(letters)
+        a = automaton_counts(w, 300).values
+        b = list(itertools.accumulate(a, lambda prev, an: 2 * prev - an, initial=1))
+        waits = sorted({1, 2, len(letters), len(letters) + 1, 11, 64, 65, 299, 300})
+        assert _terms_at(builtin_spec(w), waits) == [a[n - 1] for n in waits]
+        assert _terms_at(_avoidance_spec(w), waits) == [b[n - 1] for n in waits]
 
     def test_histogram_of_all_truncated_run_is_header_only(self):
         cfg = TrialConfig(

@@ -7,6 +7,7 @@ field makes it unequal, and it never equals an object of another type.
 """
 
 import copy
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -101,8 +102,10 @@ def test_record_is_an_immutable_value(name):
         assert repr(twin) == text
     for other in others:
         assert type(other) is type(a) and a != other and not a == other
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
         setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+        delattr(a, field)
     assert a == b and repr(a) == text
 
 
@@ -137,3 +140,31 @@ def test_zero_polynomial():
 def test_dyadic_rational_is_the_number_it_equals(value, number):
     assert value == number and number == value and hash(value) == hash(number)
     assert value != number + 1 and value < number + 1
+
+
+@pytest.mark.parametrize("cls", [CountSequence, WordStats, ClosedFormModel, CheckResult],
+                         ids=lambda cls: cls.__name__)
+def test_built_constructor_refuses_as_a_dataclass_does(cls):
+    """A record without an ``__init__`` of its own gets one from its slots: a
+    missing, extra, repeated or unknown field raises the TypeError that a
+    frozen dataclass with the same fields raises, naming ``Class.__init__``."""
+    twin = dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+    values = tuple(range(len(cls.__slots__)))
+    bad_calls = [
+        (values[:-1], {}), (values + (0,), {}), (values, {cls.__slots__[0]: 0}),
+        (values, {"bogus": 0}),
+    ]
+    for args, keywords in bad_calls:
+        with pytest.raises(TypeError) as built:
+            cls(*args, **keywords)
+        with pytest.raises(TypeError) as expected:
+            twin(*args, **keywords)
+        assert str(built.value) == str(expected.value)
+        assert str(built.value).startswith(f"{cls.__name__}.__init__() ")
+
+
+def test_methods_the_benchmark_tracer_wraps_are_the_classes_own():
+    # perfbench/spans.py wraps these through the class __dict__, so a
+    # constructor built by _Record or a method inherited from it would break it
+    assert "__init__" in vars(DyadicRational)
+    assert "derivative" in vars(RationalFunction) and "__call__" in vars(RationalFunction)

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -41,8 +42,10 @@ class TestDyadicRational:
         assert DyadicRational(0, 9) == DyadicRational(0, 0)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dyadic numerator must be >= 0, got -1$"):
             DyadicRational(-1, 2)
+        with pytest.raises(ValueError, match="^dyadic exponent must be >= 0, got -2$"):
+            DyadicRational(1, -2)
 
     def test_str(self):
         assert str(DyadicRational(7, 6)) == "7/64"
@@ -60,6 +63,8 @@ class TestDyadicRational:
         assert DyadicRational(1, 2) == 0.25
         assert DyadicRational(1, 1) != Fraction(1, 3)
         assert DyadicRational(1, 1) != "1/2"
+        with pytest.raises(TypeError, match="'<' not supported .* 'DyadicRational' and 'str'"):
+            DyadicRational(1, 1) < "1/2"
         assert DyadicRational(1, 1) <= Fraction(1, 2) <= DyadicRational(1, 1)
         assert {DyadicRational(2, 2), Fraction(1, 2), 0.5} == {Fraction(1, 2)}
 
@@ -150,6 +155,18 @@ class TestTail:
         for w in all_words(length):
             for n in range(1, 65):
                 assert tail(w, n) == closed_tail(w, n), f"{w} at n={n}"
+
+    def test_identity_route_keeps_k_terms_not_n(self):
+        # every avoidance count up to b(19999) held at once peaked at 21.7 MiB
+        w = Word("HTH")
+        tracemalloc.start()
+        try:
+            value = closed_tail(w, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == tail(w, 20000)
+        assert peak < 1 << 20
 
 
 class TestJumpAheadValues:
