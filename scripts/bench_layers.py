@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline 2eb5519 --repeats 21   # writes BENCH_23.json
+    python scripts/bench_layers.py --baseline 279fca7 --repeats 21   # writes BENCH_24.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -120,6 +120,12 @@ def _cases() -> dict:
     for cap in (512, 8192):
         cfg = TrialConfig(word=Word("HTHH"), trials=65536, seed=1, max_tosses_per_trial=cap)
         cases[f"run_trials HTHH 65536 trials cap={cap}"] = lambda cfg=cfg: run_trials(cfg)
+    # a mean wait of 66 tosses, so many blocks of the scan keep trials running
+    long_wait = TrialConfig(word=Word("HTTHTH"), trials=65536, seed=1)
+    cases["run_trials HTTHTH 65536 trials"] = lambda: run_trials(long_wait)
+    # two threads on unequal chunks of 65536 and 32768 trials
+    unequal = TrialConfig(word=hth, trials=98304, seed=1)
+    cases["run_trials HTH 98304 trials workers=2"] = lambda: run_trials(unequal, workers=2)
     million = TrialConfig(word=Word("HHH"), trials=1_000_000, seed=1)
     for workers in (1, 2):
         cases[f"run_trials HHH 1000000 trials workers={workers}"] = (
@@ -292,7 +298,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_23.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_24.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

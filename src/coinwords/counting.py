@@ -146,20 +146,25 @@ def extend_counts(spec: RecurrenceSpec, n_max: int) -> CountSequence:
     return CountSequence(tuple(values[pad:]))
 
 
-def _terms_at(spec: RecurrenceSpec, indices) -> list[int]:
-    """The terms of ``spec`` at ``indices`` (ascending, each >= 1), stepping the
+def _stepped(spec: RecurrenceSpec):
+    """Yield the terms t(1), t(2), ... of ``spec`` without end, stepping the
     recurrence term by term and keeping only the last k = deg den terms, so
-    memory holds k terms however far the indices reach."""
+    memory holds k terms however far it runs."""
     k = len(spec.den) - 1
     coeffs = [-d for d in spec.den[:0:-1]]  # of t(n - k) .. t(n - 1) in t(n)
     window = deque([0] * k, maxlen=k)  # t(n - k + 1) .. t(n), from n = 0
-    extra = chain(spec.num, repeat(0))  # num[n - 1], added to t(n)
-    out = []
-    for last, index in zip((0, *indices), indices):
-        for p in islice(extra, index - last):
-            window.append(p + sum(map(mul, coeffs, window)))
-        out.append(window[-1])
-    return out
+    for p in chain(spec.num, repeat(0)):  # num[n - 1], added to t(n)
+        term = p + sum(map(mul, coeffs, window))
+        window.append(term)
+        yield term
+
+
+def _terms_at(spec: RecurrenceSpec, indices) -> list[int]:
+    """The terms of ``spec`` at ``indices`` (ascending, each >= 1), read off
+    ``_stepped``."""
+    terms = _stepped(spec)
+    pairs = zip((0, *indices), indices)
+    return [next(islice(terms, index - last - 1, None)) for last, index in pairs]
 
 
 def _signed_split(b: list[int]) -> tuple[list, list]:

@@ -13,9 +13,12 @@ expected work is at most ``_SCALAR_BLOCKS`` toss blocks scans one trial at a
 time in Python ints (``_run_scalar``); a larger one scans numpy arrays of
 trials in fixed-size chunks (``_run_chunk``), merged with order-insensitive
 integer accumulation, so results are bit-identical no matter how many
-workers run or how the chunks are scheduled.  Only the numpy route imports
-numpy and ``concurrent.futures``: a small run, such as a ``simulate`` of a
-few thousand trials, skips numpy's 120 ms import.  The exact pmf of the CSV
+workers run or how the chunks are scheduled.  The numpy scan works in place:
+each thread allocates its arrays once and every operation writes into them,
+and a block's waiting times are counted with one ``bincount``.  Only the
+numpy route imports numpy, and only a run on more than one thread
+``concurrent.futures``: a small run, such as a ``simulate`` of a few
+thousand trials, skips numpy's 120 ms import.  The exact pmf of the CSV
 comes from ``counting``'s stepper; this module steps no count recurrence.
 """
 
@@ -41,7 +44,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _TRIAL_STRIDE = 1 << 16  # 64-bit blocks reserved per trial
-_CHUNK = 1 << 16  # trials per work unit, fixed so chunking never shifts substreams
+# Trials per work unit.  Substreams are keyed by trial index, so chunking never
+# shifts them; the constant bounds a thread's memory at 6 + ceil((k - 1) / 64)
+# arrays of _CHUNK uint64 (3.5 MiB for k <= 65).  Of 2**13 .. 2**17, 2**16
+# scanned fastest over short and long waits at one and two threads.
+_CHUNK = 1 << 16
 
 _SCALAR_BLOCKS = 1 << 13
 """The most expected toss blocks (``_expected_blocks``) a run may take for
@@ -49,12 +56,13 @@ _SCALAR_BLOCKS = 1 << 13
 
 Measured on 2 cores with Python 3.11.7 and numpy 2.4.6: the Python-int scan
 takes 1.0-1.9 us a block (HH, HTH, HTHH, HHHH, H^7 and a word of 10
-letters), the numpy scan 0.03-0.1 us a block once numpy is loaded, and
-loading numpy with ``concurrent.futures`` adds 124 ms to a fresh
-interpreter.  At this bound the Python-int scan takes 10-17 ms (7084 trials
-of HTH, ``BENCH_22.json``), about a tenth of the import it skips: a fresh
-process below it finishes about 100 ms sooner, and one that has numpy
-loaded already loses at most that 10-17 ms.
+letters), the numpy scan 0.02-0.04 us a block once numpy is loaded (the
+same words, 65536 trials with a cap of 2048), and loading numpy with
+``concurrent.futures`` adds 124 ms to a fresh interpreter.  At this bound
+the Python-int scan takes 10-17 ms (7084 trials of HTH, ``BENCH_22.json``),
+about a tenth of the import it skips: a fresh process below it finishes
+about 100 ms sooner, and one that has numpy loaded already loses at most
+that 10-17 ms.
 """
 
 
@@ -137,10 +145,10 @@ def _run_scalar(cfg: TrialConfig, lo: int, hi: int) -> tuple[dict[int, int], int
     """The waiting-time histogram and the truncated count of trials lo..hi - 1,
     one trial after another in Python ints.
 
-    Block j is the same SplitMix64 output as in ``_toss_block``, and the scan
-    the same Shift-And as in ``_run_chunk``.  The last k - 1 tosses ride
-    below the block as one int, ``stream``, so bit r + k - 1 of ``stream`` is
-    toss 64j + r + 1, and a word of any length takes k shifts of one int.
+    Block j is the same SplitMix64 output, and the scan the same Shift-And,
+    as in ``_run_chunk``.  The last k - 1 tosses ride below the block as one
+    int, ``stream``, so bit r + k - 1 of ``stream`` is toss 64j + r + 1, and
+    a word of any length takes k shifts of one int.
     """
     letters = cfg.word.letters
     k, cap = len(letters), cfg.max_tosses_per_trial
@@ -174,23 +182,21 @@ def _run_scalar(cfg: TrialConfig, lo: int, hi: int) -> tuple[dict[int, int], int
     return histogram, truncated
 
 
-def _toss_block(seed: int, trial, j: int):
-    """Toss block ``j`` (a SplitMix64 output) of each trial index in the
-    numpy array ``trial``."""
+def _arrays(k: int, size: int) -> list:
+    """The uint64 arrays of ``size`` trials that ``_run_chunk`` scans in, for a
+    word of k letters: base states, a spare for compaction, two working
+    arrays, the match, and the window of the current block and the
+    ceil((k - 1) / 64) blocks before it.  A thread allocates them once and
+    reuses them over its spans."""
     import numpy as np
 
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed) + (
-            trial * np.uint64(_TRIAL_STRIDE) + np.uint64(j) + np.uint64(1)
-        ) * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    return [np.empty(size, dtype=np.uint64) for _ in range(6 + -(-(k - 1) // 64))]
 
 
-def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple:
-    """Waiting-time histogram for one trial range: (values, counts, truncated),
-    the first two as numpy arrays.
+def _run_chunk(cfg: TrialConfig, lo: int, hi: int, arrays=None) -> tuple[dict[int, int], int]:
+    """The waiting-time histogram and the truncated count of trials lo..hi - 1,
+    scanned as numpy arrays in ``arrays`` (from ``_arrays``, at least hi - lo
+    long; fresh ones by default).
 
     A Shift-And scan (Baeza-Yates and Gonnet, CACM 1992) reads each 64-toss
     block in about k word-wide operations for a word of k letters.  Bit r of
@@ -200,70 +206,123 @@ def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple:
     words longer than 65 letters).  ANDing the k copies, each complemented
     where the letter d places before the word's end is T, leaves bit r set
     exactly when tosses 64j + r + 2 - k .. 64j + r + 1 spell the word.  Bits
-    before toss k and past the cap are cleared, and the lowest set bit is the
-    first completion: waiting time 64j + 1 + r.  A trial that completes
-    leaves the active arrays, so block j is generated only for trials still
-    running at toss 64j + 1 and memory stays O(hi - lo) whatever the cap.
+    before toss k and past the cap are cleared, so a carry that only reaches
+    cleared bits is skipped, and the lowest set bit is the first completion:
+    waiting time 64j + 1 + r.
+
+    Every operation writes into ``arrays``, sliced to the trials still
+    running.  Each trial keeps its SplitMix64 state before block 0,
+    ``base``; block j mixes base + j * gamma.  For a match m the popcount of
+    m ^ (m - 1) is r + 1, and 64 where m = 0, so one ``bincount`` of the
+    popcounts, less the misses in bin 64, is the block's histogram.  Trials
+    that complete are dropped from ``base`` and the window, so block j is
+    generated only for trials still running at toss 64j + 1 and memory stays
+    O(hi - lo) whatever the cap.
     """
     import numpy as np
 
     letters = cfg.word.letters
-    k = len(letters)
-    cap = cfg.max_tosses_per_trial
-    trial = np.arange(lo, hi, dtype=np.uint64)
-    # blocks j-1, j-2, ... of the active trials, as far back as a window reaches
-    history = [np.zeros(hi - lo, dtype=np.uint64)] * -(-(k - 1) // 64)
-    found = []
+    k, cap, n = len(letters), cfg.max_tosses_per_trial, hi - lo
+    if arrays is None:
+        arrays = _arrays(k, n)
+    base, spare, tmp, copy, match, *window = arrays
+    # seed + (i * 2**16 + 1) * gamma for trial i, the state block 0 mixes
+    stride = np.uint64(_TRIAL_STRIDE * _GAMMA & _MASK)
+    np.multiply(np.arange(lo, hi, dtype=np.uint64), stride, out=base[:n])
+    base[:n] += np.uint64((cfg.seed + _GAMMA) & _MASK)
+    histogram: dict[int, int] = {}
     for j in range(-(-cap // 64)):
-        window = [_toss_block(cfg.seed, trial, j), *history]
-        match = None
-        for d in range(k):
-            q, s = divmod(d, 64)
-            copy = window[q] << np.uint64(s)
-            if s:
-                copy |= window[q + 1] >> np.uint64(64 - s)
-            if letters[k - 1 - d] == "T":
-                np.invert(copy, out=copy)
-            match = copy if match is None else np.bitwise_and(match, copy, out=match)
+        window.insert(0, window.pop())  # the oldest block's array takes block j
+        z, t = window[0][:n], tmp[:n]
+        np.add(base[:n], np.uint64(j * _GAMMA & _MASK), out=z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            if mix:
+                z *= np.uint64(mix)
         valid = _valid_bits(k, cap, j)
+        if not valid:
+            continue
+        m, c = match[:n], copy[:n]
+        # copy d, built in m for the first d and in t, or c with a carry, for the rest
+        for d in range(k - 1, -1, -1):
+            q, s = divmod(d, 64)
+            flip = letters[k - 1 - d] == "T"
+            carry = s and valid & ((1 << s) - 1)  # the carry reaches a bit that is not cleared
+            out = m if d == k - 1 else c if carry else t
+            if s:
+                np.left_shift(window[q][:n], np.uint64(s), out=out)
+                if carry:
+                    np.right_shift(window[q + 1][:n], np.uint64(64 - s), out=t)
+                    out |= t
+                if flip:
+                    np.invert(out, out=out)
+            elif flip:
+                np.invert(window[q][:n], out=out)
+            elif out is m:
+                np.copyto(m, window[q][:n])
+            else:
+                out = window[q][:n]  # an H with no shift is the block itself
+            if out is not m:
+                m &= out
         if valid != _MASK:
-            match &= np.uint64(valid)
-        history = window[: len(history)]
-        hit = match != 0
-        if hit.any():
-            first = match[hit]
-            lowest = np.bitwise_count(~first & (first - np.uint64(1)))
-            found.append(lowest.astype(np.int64) + (64 * j + 1))
-            live = ~hit
-            trial = trial[live]
-            history = [block[live] for block in history]
-            if not trial.size:
-                break
-    waiting = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
-    values, cnts = np.unique(waiting, return_counts=True)
-    return values, cnts, int(trial.size)
+            m &= np.uint64(valid)
+        hits = np.count_nonzero(m)
+        if not hits:
+            continue
+        np.subtract(m, np.uint64(1), out=t)
+        t ^= m
+        np.bitwise_count(t, out=t)
+        bins = np.bincount(t.view(np.int64), minlength=65)
+        bins[64] -= n - hits
+        for r1, count in enumerate(bins.tolist()):
+            if count:
+                histogram[64 * j + r1] = count
+        if hits == n:
+            return histogram, 0
+        keep = np.flatnonzero(m == 0)
+        live = keep.size
+        # base and the blocks the next window keeps, each taken into the spare
+        rows = [base, *window[:-1]]
+        for i, row in enumerate(rows):
+            np.take(row[:n], keep, out=spare[:live], mode="clip")
+            rows[i], spare = spare, row
+        base, window[:-1] = rows[0], rows[1:]
+        n = live
+    return histogram, n
 
 
 def _run_chunks(cfg: TrialConfig, workers: int) -> tuple[dict[int, int], int]:
     """The histogram and the truncated count of the whole run, from
-    ``_run_chunk`` over fixed chunks of trials on a pool of threads."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    ``_run_chunk`` over fixed chunks of trials: in this thread, or on a pool
+    of threads where thread t takes every threads-th chunk, each thread
+    scanning in one set of ``_arrays``."""
     spans = [
         (lo, min(lo + _CHUNK, cfg.trials)) for lo in range(0, cfg.trials, _CHUNK)
     ]
-    # Executor.map submits every chunk at once, and the pool starts a thread per
-    # submitted chunk up to max_workers; the chunks are CPU-bound, so threads
-    # beyond the cores would only contend.
+    # the chunks are CPU-bound, so threads beyond the cores would only contend
     threads = min(workers, len(spans), os.cpu_count() or 1)
+
+    def run(share) -> tuple[dict[int, int], int]:
+        arrays = _arrays(len(cfg.word), min(_CHUNK, cfg.trials))
+        return _merge(_run_chunk(cfg, lo, hi, arrays) for lo, hi in share)
+
+    if threads == 1:
+        return run(spans)
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda span: _run_chunk(cfg, *span), spans))
+        return _merge(pool.map(run, (spans[t::threads] for t in range(threads))))
+
+
+def _merge(parts) -> tuple[dict[int, int], int]:
+    """The sum of (histogram, truncated) parts."""
     histogram: dict[int, int] = {}
     truncated = 0
-    for values, cnts, trunc in parts:
+    for part, trunc in parts:
         truncated += trunc
-        for v, c in zip(values.tolist(), cnts.tolist()):
-            histogram[v] = histogram.get(v, 0) + c
+        for wait, count in part.items():
+            histogram[wait] = histogram.get(wait, 0) + count
     return histogram, truncated
 
 
@@ -273,8 +332,9 @@ def run_trials(cfg: TrialConfig, workers: int = 1) -> EmpiricalSummary:
     A run of at most ``_SCALAR_BLOCKS`` expected toss blocks is scanned in
     Python ints, a larger one in numpy arrays; both give the same summary.
     ``workers`` only controls scheduling; the per-trial substreams and the
-    integer merge make the summary independent of it.  The numpy route's
-    pool has at most one thread per chunk and per core.
+    integer merge make the summary independent of it.  The numpy route runs
+    on at most one thread per chunk and per core, in the caller's thread
+    when that is one.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

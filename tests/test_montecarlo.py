@@ -20,9 +20,14 @@ from coinwords.counting import (
 from coinwords.montecarlo import (
     EmpiricalSummary,
     TrialConfig,
+    _GAMMA,
+    _MASK,
+    _MIX1,
+    _MIX2,
+    _TRIAL_STRIDE,
     _run_chunk,
+    _run_chunks,
     _run_scalar,
-    _toss_block,
     histogram_csv,
     run_trials,
     summary_csv,
@@ -33,10 +38,30 @@ from coinwords.words import Word
 ESSENTIAL = ("HT", "HH", "HHH", "HHT", "HTT", "HTH")
 
 
+def toss_block(seed, trial, j):
+    """Toss block ``j`` of each trial index in the numpy array ``trial``: the
+    SplitMix64 output at stream index trial * 2**16 + j, written out from
+    the stream's definition as the reference RNG of the scans."""
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed) + (
+            trial * np.uint64(_TRIAL_STRIDE) + np.uint64(j) + np.uint64(1)
+        ) * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
+
+def stream(seed, trial, blocks):
+    """Tosses 1 .. 64 * blocks of one trial as a string of H and T."""
+    index = np.array([trial], dtype=np.uint64)
+    words = [int(toss_block(seed, index, j)[0]) for j in range(blocks)]
+    return "".join("TH"[(b >> r) & 1] for b in words for r in range(64))
+
+
 def step_loop_chunk(cfg, lo, hi):
     """Reference for ``_run_chunk``: the prefix automaton stepped one toss
-    at a time over the same blocks, toss t reading bit (t - 1) mod 64 of
-    block (t - 1) // 64."""
+    at a time over the blocks of ``toss_block``, toss t reading bit
+    (t - 1) mod 64 of block (t - 1) // 64."""
     trans = np.asarray(transition_table(cfg.word), dtype=np.int64)
     cap = cfg.max_tosses_per_trial
     trial = np.arange(lo, hi, dtype=np.uint64)
@@ -48,7 +73,7 @@ def step_loop_chunk(cfg, lo, hi):
     for t in range(1, cap + 1):
         j, r = divmod(t - 1, 64)
         if r == 0:
-            block = _toss_block(cfg.seed, trial, j)
+            block = toss_block(cfg.seed, trial, j)
         bit = ((block >> np.uint64(r)) & np.uint64(1)).astype(np.int64)
         state = trans[state, bit]
         newly = (state == full) & (waiting == 0)
@@ -58,17 +83,12 @@ def step_loop_chunk(cfg, lo, hi):
             if done == n:
                 break
     values, cnts = np.unique(waiting[waiting > 0], return_counts=True)
-    return values, cnts, n - done
+    return dict(zip(values.tolist(), cnts.tolist())), n - done
 
 
 def as_lists(chunk):
-    values, cnts, truncated = chunk
-    return values.tolist(), cnts.tolist(), truncated
-
-
-def scalar_lists(cfg, lo, hi):
-    """``_run_scalar`` over trials lo..hi - 1, in the form of ``as_lists``."""
-    histogram, truncated = _run_scalar(cfg, lo, hi)
+    """A (histogram, truncated) pair as (waits ascending, their counts, truncated)."""
+    histogram, truncated = chunk
     values = sorted(histogram)
     return values, [histogram[v] for v in values], truncated
 
@@ -91,20 +111,23 @@ class TestRunTrials:
         assert one == four
 
     @pytest.mark.parametrize(
-        "trials, workers, cores, pool_size",
+        "trials, workers, cores, threads",
         [
             (1, 100_000, 64, 1),
+            (3 << 16, 1, 64, 1),
+            (3 << 16, 100_000, 1, 1),
             (3 << 16, 100_000, 64, 3),
             (3 << 16, 2, 64, 2),
             (3 << 16, 100_000, 2, 2),
         ],
     )
     def test_pool_is_sized_by_chunks_and_cores(
-        self, monkeypatch, trials, workers, cores, pool_size
+        self, monkeypatch, trials, workers, cores, threads
     ):
-        sizes = []
+        # one thread scans in the caller with no pool; each thread allocates its arrays once
+        sizes, allocations = [], []
 
-        class InlinePool:  # records the pool size and runs each chunk in this thread
+        class InlinePool:  # records the pool size and runs each share in this thread
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -117,12 +140,17 @@ class TestRunTrials:
             def map(self, fn, items):
                 return map(fn, items)
 
+        real_arrays = montecarlo._arrays
         cfg = TrialConfig(word=Word("HH"), trials=trials, seed=7)
-        monkeypatch.setattr(montecarlo, "_SCALAR_BLOCKS", 0)  # every run takes the pool
+        monkeypatch.setattr(montecarlo, "_SCALAR_BLOCKS", 0)  # every run takes the numpy route
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(
+            montecarlo, "_arrays", lambda k, size: allocations.append(size) or real_arrays(k, size)
+        )
         inline = run_trials(cfg, workers=workers)
-        assert sizes == [pool_size]
+        assert sizes == ([] if threads == 1 else [threads])
+        assert allocations == [min(trials, 1 << 16)] * threads
         monkeypatch.undo()
         assert inline == run_trials(cfg, workers=1)
 
@@ -234,20 +262,19 @@ class TestShiftAndScan:
                 cfg = TrialConfig(word=w, trials=1000, seed=17, max_tosses_per_trial=cap)
                 expected = as_lists(step_loop_chunk(cfg, 100, 700))
                 assert as_lists(_run_chunk(cfg, 100, 700)) == expected, (w, cap)
-                assert scalar_lists(cfg, 100, 700) == expected, (w, cap)
+                assert as_lists(_run_scalar(cfg, 100, 700)) == expected, (w, cap)
 
     @pytest.mark.parametrize("k", [64, 65, 66, 130])
     def test_words_longer_than_a_block(self, k):
         # a window of k tosses reaches back into one or two earlier blocks;
         # the words are read off trial 0's stream so that they do occur
-        blocks = [int(_toss_block(5, np.zeros(1, dtype=np.uint64), j)[0]) for j in range(4)]
-        stream = "".join("TH"[(b >> r) & 1] for b in blocks for r in range(64))
+        tosses = stream(5, 0, 4)
         for start in (0, 3, 61):
-            w = Word(stream[start:start + k])
+            w = Word(tosses[start:start + k])
             cfg = TrialConfig(word=w, trials=40, seed=5, max_tosses_per_trial=256)
             scanned = as_lists(_run_chunk(cfg, 0, 40))
             assert scanned == as_lists(step_loop_chunk(cfg, 0, 40))
-            assert scalar_lists(cfg, 0, 40) == scanned
+            assert as_lists(_run_scalar(cfg, 0, 40)) == scanned
             assert scanned[0][0] <= start + k
 
     @given(
@@ -263,7 +290,7 @@ class TestShiftAndScan:
         cfg = TrialConfig(word=Word(letters), trials=lo + n, seed=seed, max_tosses_per_trial=cap)
         expected = as_lists(step_loop_chunk(cfg, lo, lo + n))
         assert as_lists(_run_chunk(cfg, lo, lo + n)) == expected
-        assert scalar_lists(cfg, lo, lo + n) == expected
+        assert as_lists(_run_scalar(cfg, lo, lo + n)) == expected
 
     @pytest.mark.parametrize("letters, cap", [("HHH", 100), ("HTTH", 64), ("HHHHHHH", 300)])
     def test_single_trials_match_step_loop(self, letters, cap):
@@ -271,7 +298,29 @@ class TestShiftAndScan:
         for i in range(64):
             expected = as_lists(step_loop_chunk(cfg, i, i + 1))
             assert as_lists(_run_chunk(cfg, i, i + 1)) == expected, i
-            assert scalar_lists(cfg, i, i + 1) == expected, i
+            assert as_lists(_run_scalar(cfg, i, i + 1)) == expected, i
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "letters, trials, cap",
+        [
+            ("HTH", 150, 512),
+            ("HHHHHHH", 130, 70),  # a cap that truncates, inside the second block
+            # 68 letters, read off trial 5's tosses 40..107: the window reaches two blocks back
+            (stream(31, 5, 2)[39:107], 20, 200),
+        ],
+    )
+    def test_threads_share_small_chunks(self, monkeypatch, chunk, letters, trials, cap):
+        # thread t takes every threads-th chunk and reuses one set of arrays,
+        # sliced to the live trials, across chunks of any size
+        cfg = TrialConfig(word=Word(letters), trials=trials, seed=31, max_tosses_per_trial=cap)
+        expected = _run_scalar(cfg, 0, trials)
+        # some trials complete; some truncate, except at the cap of 512
+        assert expected[0] and bool(expected[1]) == (cap < 512)
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        for workers in (1, 2, 3):
+            assert _run_chunks(cfg, workers) == expected, workers
 
     # 7084 trials of HTH are 7084 * (1 + 10/64) = 8190.9 expected blocks, 7085 are 8192.03
     @pytest.mark.parametrize("trials, route", [(7084, "_run_scalar"), (7085, "_run_chunks")])

@@ -98,9 +98,10 @@ def test_bench_layers(tmp_path):
     for workers in (1, 2):
         assert report["rows"][f"run_trials HHH 1000000 trials workers={workers}"]["current_ms"] > 0
     # the run_trials rows are timed first, the two at montecarlo's bound leading
-    assert list(report["rows"])[:6] == [
+    assert list(report["rows"])[:8] == [
         "run_trials HTH 7084 trials", "run_trials HTH 7085 trials",
         "run_trials HTHH 65536 trials cap=512", "run_trials HTHH 65536 trials cap=8192",
+        "run_trials HTTHTH 65536 trials", "run_trials HTH 98304 trials workers=2",
         "run_trials HHH 1000000 trials workers=1", "run_trials HHH 1000000 trials workers=2",
     ]
     cold = [name for name in report["rows"] if name.startswith("cold ")]

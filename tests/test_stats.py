@@ -18,6 +18,7 @@ from coinwords.stats import (
     cdf,
     closed_tail,
     moments,
+    partial_moment_sums,
     pmf,
     tail,
     threshold,
@@ -250,6 +251,36 @@ class TestMoments:
     def test_long_and_short_words(self, letters, mean, variance):
         st_ = moments(Word(letters))
         assert (st_.mean, st_.variance) == (mean, variance)
+
+    @pytest.mark.parametrize("letters", ["H", "HT", "HTH", "HHHH", "HTHTTHHTHT"])
+    def test_partial_sums_are_the_truncated_sums(self, letters):
+        w = Word(letters)
+        a = counts(w, 300).values
+        for n_max in sorted({1, 2, len(letters), len(letters) + 1, 64, 300}):
+            pmf_ = [Fraction(a[n - 1], 1 << n) for n in range(1, n_max + 1)]
+            s1 = sum(n * p for n, p in enumerate(pmf_, start=1))
+            s2 = sum(n * n * p for n, p in enumerate(pmf_, start=1))
+            assert partial_moment_sums(w, n_max) == (s1, s2), n_max
+
+    def test_partial_sums_keep_k_terms_not_n(self):
+        # every count up to a(20000) held at once peaked at 21.7 MiB
+        w, n_max = Word("HTH"), 20000
+        a = extend_counts(builtin_spec(w), n_max).values
+        num1 = sum((n * an) << (n_max - n) for n, an in enumerate(a, start=1))
+        num2 = sum((n * n * an) << (n_max - n) for n, an in enumerate(a, start=1))
+        del a
+        tracemalloc.start()
+        try:
+            sums = partial_moment_sums(w, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sums == (Fraction(num1, 1 << n_max), Fraction(num2, 1 << n_max))
+        assert peak < 1 << 20
+
+    def test_partial_sums_refuse_n_max_below_one(self):
+        with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
+            partial_moment_sums(Word("HT"), 0)
 
     @pytest.mark.parametrize("length", range(1, 9))
     def test_overlap_sums_match_closed_form_derivatives(self, length):
