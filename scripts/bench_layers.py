@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline 279fca7 --repeats 21   # writes BENCH_24.json
+    python scripts/bench_layers.py --baseline b41871e --repeats 7   # writes BENCH_25.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -13,9 +13,12 @@ overlap is within the machine's run-to-run spread.  Rows named "... x1000"
 time a thousand sub-microsecond operations in one call, so their
 milliseconds read as microseconds per operation.  Rows named "... memo
 cleared" empty counting's per-word memo before each call, beside the same
-case timed with the memo warm.  The ``run_trials`` rows come first in each
-timing interpreter, before any other case has allocated and freed large
-numpy arrays, which move glibc's mmap threshold and with it their speed.
+case timed with the memo warm, and rows named "... store cleared" empty
+montecarlo's store of spare scan arrays, so each call allocates its arrays
+as the first call of a process does.  The ``run_trials`` rows come first in
+each timing interpreter, before any other case has allocated and freed
+large numpy arrays, which move glibc's mmap threshold and with it their
+speed; they also record the minor page faults (``ru_minflt``) of one call.
 Two kinds of rows:
 
 - warm rows time calls of a case, after one warm-up call, in a timing
@@ -38,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -64,7 +68,7 @@ def _refused(f, *args) -> None:
 def _cases() -> dict:
     from fractions import Fraction
 
-    from coinwords import Word, closedform, counting, verify
+    from coinwords import Word, closedform, counting, montecarlo, verify
     from coinwords.counting import (
         ESSENTIAL_WORDS, CountSequence, automaton_counts, builtin_spec, counts, extend_counts,
         nth_terms, transition_table,
@@ -77,6 +81,8 @@ def _cases() -> dict:
     hth, long_word = Word("HTH"), Word(LONG_WORD)
     # a tree from before the memo has nothing to empty
     forget = counting._derive.cache_clear if hasattr(counting, "_derive") else lambda: None
+    # nor one from before the store of spare arrays
+    spares = getattr(montecarlo, "_SPARES", [])
     deep, micro = Fraction("1e-100"), Fraction("1e-6")
     cases = {
         "extend_counts HTH n=20000": lambda: extend_counts(builtin_spec(hth), 20000),
@@ -131,6 +137,13 @@ def _cases() -> dict:
         cases[f"run_trials HHH 1000000 trials workers={workers}"] = (
             lambda workers=workers: run_trials(million, workers=workers)
         )
+    one_chunk = TrialConfig(word=hth, trials=65536, seed=1)
+    cases["run_trials HTH 65536 trials"] = lambda: run_trials(one_chunk)
+    # each numpy-route row again with no spare arrays, as a process's first call
+    for name, call in list(cases.items()):
+        # the Python-int scan of 7084 trials keeps no arrays
+        if name.startswith("run_trials") and name != "run_trials HTH 7084 trials":
+            cases[f"{name} store cleared"] = lambda call=call: (spares.clear(), call())
     half = Fraction(1, 2)
     cases["finite_gf at 1/2 essential words m=1..64"] = lambda: [
         finite_gf(w, m)(half) for w in ESSENTIAL_WORDS for m in range(1, 65)
@@ -197,18 +210,29 @@ def _per_call_ms(call) -> float:
     return statistics.median(seconds) * 1000
 
 
+def _minor_faults(call) -> int:
+    """The minor page faults of one call."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 def serve() -> None:
     """Answer each case name read from stdin with its per-call milliseconds,
-    after a warm-up call, for the coinwords on sys.path.  The first line
-    written lists the cases and the numpy version."""
+    after a warm-up call, and for a ``run_trials`` case the minor faults of
+    one more call, for the coinwords on sys.path.  The first line written
+    lists the cases and the numpy version."""
     import numpy
 
     cases = _cases()
     print(json.dumps({"numpy": numpy.__version__, "cases": list(cases)}), flush=True)
     for line in sys.stdin:
-        call = cases[line.rstrip("\n")]
+        name = line.rstrip("\n")
+        call = cases[name]
         call()
-        print(_per_call_ms(call), flush=True)
+        ms = _per_call_ms(call)
+        faults = _minor_faults(call) if name.startswith("run_trials") else None
+        print(json.dumps([ms, faults]), flush=True)
 
 
 def _env(src: str) -> dict:
@@ -230,10 +254,11 @@ def _reply(server: subprocess.Popen) -> str:
     return line
 
 
-def _time_warm(server: subprocess.Popen, name: str) -> float:
+def _time_warm(server: subprocess.Popen, name: str) -> list:
+    """[per-call ms, minor faults of one call or None] of a warm case."""
     server.stdin.write(name + "\n")
     server.stdin.flush()
-    return float(_reply(server))
+    return json.loads(_reply(server))
 
 
 def _time_cold(src: str, argv: tuple) -> float:
@@ -260,8 +285,9 @@ def _paired(baseline: list, current: list) -> dict:
     }
 
 
-def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
-    """({tree label: {case: [ms of each round]}}, numpy version).
+def _time_trees(trees: dict, repeats: int) -> tuple[dict, dict, str]:
+    """({tree label: {case: [ms of each round]}}, the same of minor faults
+    for the cases that count them, numpy version).
 
     Each round starts one timing interpreter per tree and asks both for
     every warm case, then runs every cold case in both trees.  The trees
@@ -269,6 +295,7 @@ def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
     case and from round to round, so a drift in machine speed falls on both.
     """
     times: dict = {label: {} for label in trees}
+    faults: dict = {label: {} for label in trees}
     labels = list(trees)
     for r in range(repeats):
         servers = {label: _start_server(src) for label, src in trees.items()}
@@ -277,8 +304,10 @@ def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
             warm = hello[labels[0]]["cases"]
             for i, name in enumerate(warm):
                 for label in labels if (r + i) % 2 == 0 else labels[::-1]:
-                    ms = _time_warm(servers[label], name)
+                    ms, minflt = _time_warm(servers[label], name)
                     times[label].setdefault(name, []).append(ms)
+                    if minflt is not None:
+                        faults[label].setdefault(name, []).append(minflt)
         finally:
             for server in servers.values():
                 server.stdin.close()
@@ -286,7 +315,7 @@ def _time_trees(trees: dict, repeats: int) -> tuple[dict, str]:
         for i, (name, argv) in enumerate(COLD.items(), start=len(warm)):
             for label in labels if (r + i) % 2 == 0 else labels[::-1]:
                 times[label].setdefault(name, []).append(_time_cold(trees[label], argv))
-    return times, hello[labels[0]]["numpy"]
+    return times, faults, hello[labels[0]]["numpy"]
 
 
 def _git(*args: str) -> str:
@@ -298,7 +327,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_24.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_25.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:
@@ -313,7 +342,7 @@ def main() -> None:
             ).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
             trees["baseline"] = os.path.join(tmp, "src")
-        times, numpy_version = _time_trees(trees, args.repeats)
+        times, faults, numpy_version = _time_trees(trees, args.repeats)
     report = {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
@@ -321,6 +350,7 @@ def main() -> None:
         "repeats": args.repeats,
         "unit": f"ms, median and interquartile range over rounds of the per-call median "
                 f"of up to {CALLS} calls ({BUDGET_S} s budget) each",
+        "minflt": "minor page faults (ru_minflt) of one call, median over rounds",
         "current": "working tree",
         "rows": {},
     }
@@ -330,6 +360,9 @@ def main() -> None:
             q1, median, q3 = _quartiles(cases[name])
             row[f"{label}_ms"] = median
             row[f"{label}_iqr_ms"] = [q1, q3]
+        for label, cases in faults.items():
+            if name in cases:
+                row[f"{label}_minflt"] = statistics.median(cases[name])
     if args.baseline:
         report["baseline"] = _git("rev-parse", "--short", args.baseline)
         for name, row in report["rows"].items():

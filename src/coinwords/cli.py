@@ -9,6 +9,7 @@ round-trips losslessly.
 
 import argparse
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 # Each command loads only the modules it uses: genfun, montecarlo and verify
@@ -127,28 +128,45 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _digits_unlimited():
+    """Python's limit on int <-> str conversions lifted inside, and restored
+    after.
+
+    Python >= 3.11 parses and prints no int past 4300 digits.  ``tail`` and
+    ``threshold`` answer at n <= 100001, so the tail's 2**(n-1) has at most
+    30103 digits, which print in milliseconds.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_tail(args: argparse.Namespace) -> int:
     w, n = _word_and_value(args, "--n-max", "a toss index", integer=True)
+    limit = stats._THRESHOLD_LIMIT + 1  # threshold's largest answer
+    if n > limit:
+        raise ValueError(f"tail of {w} at N = {n} lies past the limit N = {limit}")
     value = stats.tail(w, n)
     frac = value.as_fraction()
-    if args.format == "csv":
-        print("word,N,tail_exact_num,tail_exact_den,tail_float")
-        print(f"{w},{n},{frac.numerator},{frac.denominator},{float(value)}")
-    else:
-        print(f"{value} ({float(value)})")
+    with _digits_unlimited():
+        if args.format == "csv":
+            print("word,N,tail_exact_num,tail_exact_den,tail_float")
+            print(f"{w},{n},{frac.numerator},{frac.denominator},{float(value)}")
+        else:
+            print(f"{value} ({float(value)})")
     return 0
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     w, text = _word_and_value(args, "--q", "a quantile")
-    # Python >= 3.11 parses and prints no int past 4300 digits.  An answer has
-    # n <= 100001, so the tail's 2**(n-1) has at most 30103 digits: lift the
-    # limit to read Q and to print the answer, and restore it after.
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-    try:
+    with _digits_unlimited():  # to read a Q of any length and to print the answer
         stats._refuse_by_exponent(w, text)  # before Fraction builds 10**exponent
         try:
             q = Fraction(text)
@@ -162,9 +180,6 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
             print(f"{w},{q},{n},{frac.numerator},{frac.denominator},{float(value)}")
         else:
             print(f"N={n} tail={value} ({float(value)})")
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(limit)
     return 0
 
 

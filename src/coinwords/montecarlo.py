@@ -14,15 +14,19 @@ time in Python ints (``_run_scalar``); a larger one scans numpy arrays of
 trials in fixed-size chunks (``_run_chunk``), merged with order-insensitive
 integer accumulation, so results are bit-identical no matter how many
 workers run or how the chunks are scheduled.  The numpy scan works in place:
-each thread allocates its arrays once and every operation writes into them,
-and a block's waiting times are counted with one ``bincount``.  Only the
-numpy route imports numpy, and only a run on more than one thread
-``concurrent.futures``: a small run, such as a ``simulate`` of a few
-thousand trials, skips numpy's 120 ms import.  The exact pmf of the CSV
-comes from ``counting``'s stepper; this module steps no count recurrence.
+each thread takes one set of arrays and every operation writes into them,
+and a block's waiting times are counted with one ``bincount``.  When its
+spans are done the thread leaves the set in a small store of spares, at most
+one per core, where the next call of the same array count and size takes it
+instead of faulting fresh pages in.  Only the numpy route imports numpy, and
+only a run on more than one thread ``concurrent.futures``: a small run, such
+as a ``simulate`` of a few thousand trials, skips numpy's 120 ms import.  The
+exact pmf of the CSV comes from ``counting``'s stepper; this module steps no
+count recurrence.
 """
 
 import os
+from _thread import allocate_lock  # threading's Lock; a run within the bound loads no threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,9 +49,10 @@ _MIX2 = 0x94D049BB133111EB
 
 _TRIAL_STRIDE = 1 << 16  # 64-bit blocks reserved per trial
 # Trials per work unit.  Substreams are keyed by trial index, so chunking never
-# shifts them; the constant bounds a thread's memory at 6 + ceil((k - 1) / 64)
-# arrays of _CHUNK uint64 (3.5 MiB for k <= 65).  Of 2**13 .. 2**17, 2**16
-# scanned fastest over short and long waits at one and two threads.
+# shifts them; the constant bounds a thread's set of arrays, and each set the
+# store of spares keeps, at 6 + ceil((k - 1) / 64) arrays of _CHUNK uint64
+# (3.5 MiB for k <= 65).  Of 2**13 .. 2**17, 2**16 scanned fastest over short
+# and long waits at one and two threads.
 _CHUNK = 1 << 16
 
 _SCALAR_BLOCKS = 1 << 13
@@ -182,15 +187,49 @@ def _run_scalar(cfg: TrialConfig, lo: int, hi: int) -> tuple[dict[int, int], int
     return histogram, truncated
 
 
+def _array_count(k: int) -> int:
+    """How many arrays ``_arrays`` makes for a word of k letters."""
+    return 6 + -(-(k - 1) // 64)
+
+
 def _arrays(k: int, size: int) -> list:
     """The uint64 arrays of ``size`` trials that ``_run_chunk`` scans in, for a
     word of k letters: base states, a spare for compaction, two working
     arrays, the match, and the window of the current block and the
-    ceil((k - 1) / 64) blocks before it.  A thread allocates them once and
-    reuses them over its spans."""
+    ceil((k - 1) / 64) blocks before it.  A thread takes one set, from the
+    spares or from here, for all its spans.  They start uninitialised, or
+    holding an earlier scan's values: ``_run_chunk`` writes every array
+    before it reads it."""
     import numpy as np
 
-    return [np.empty(size, dtype=np.uint64) for _ in range(6 + -(-(k - 1) // 64))]
+    return [np.empty(size, dtype=np.uint64) for _ in range(_array_count(k))]
+
+
+# Sets of _arrays that finished scans left for later runs, oldest first.  Freed
+# arrays go back to the kernel, so a run that allocates afresh faults every
+# page in again: 611 minor faults, 1.6 ms against 0.7 for a 65536-trial HTH
+# run on 2 cores.  A scan takes its set out, so no two scans share one, and
+# at most one set per core is kept.
+_SPARES: list = []
+_SPARES_LOCK = allocate_lock()
+
+
+def _take_arrays(k: int, size: int) -> list:
+    """A spare set with ``_arrays(k, size)``'s count and size, the newest
+    first, or a new set."""
+    count = _array_count(k)
+    with _SPARES_LOCK:
+        for i in range(len(_SPARES) - 1, -1, -1):
+            if len(_SPARES[i]) == count and _SPARES[i][0].size == size:
+                return _SPARES.pop(i)
+    return _arrays(k, size)
+
+
+def _keep_arrays(arrays: list) -> None:
+    """Leave a set in the store, dropping the oldest past one per core."""
+    with _SPARES_LOCK:
+        _SPARES.append(arrays)
+        del _SPARES[: -(os.cpu_count() or 1)]
 
 
 def _run_chunk(cfg: TrialConfig, lo: int, hi: int, arrays=None) -> tuple[dict[int, int], int]:
@@ -296,7 +335,8 @@ def _run_chunks(cfg: TrialConfig, workers: int) -> tuple[dict[int, int], int]:
     """The histogram and the truncated count of the whole run, from
     ``_run_chunk`` over fixed chunks of trials: in this thread, or on a pool
     of threads where thread t takes every threads-th chunk, each thread
-    scanning in one set of ``_arrays``."""
+    scanning in one set of arrays from ``_take_arrays``, which it leaves in
+    the store after its last span."""
     spans = [
         (lo, min(lo + _CHUNK, cfg.trials)) for lo in range(0, cfg.trials, _CHUNK)
     ]
@@ -304,8 +344,11 @@ def _run_chunks(cfg: TrialConfig, workers: int) -> tuple[dict[int, int], int]:
     threads = min(workers, len(spans), os.cpu_count() or 1)
 
     def run(share) -> tuple[dict[int, int], int]:
-        arrays = _arrays(len(cfg.word), min(_CHUNK, cfg.trials))
-        return _merge(_run_chunk(cfg, lo, hi, arrays) for lo, hi in share)
+        arrays = _take_arrays(len(cfg.word), min(_CHUNK, cfg.trials))
+        try:
+            return _merge(_run_chunk(cfg, lo, hi, arrays) for lo, hi in share)
+        finally:
+            _keep_arrays(arrays)
 
     if threads == 1:
         return run(spans)

@@ -187,6 +187,38 @@ class TestTail:
         assert (word, n, num, den) == ("HH", "12", "233", "2048")
         assert float(fl) == pytest.approx(233 / 2048)
 
+    # 2**14285 is the first denominator past 4300 digits; 100001 is the limit
+    @pytest.mark.parametrize("n", [14286, 100001])
+    def test_answer_past_4300_digits_prints_in_text(self, capsys, n):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, "tail", "HTH", str(n))
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        value, approx = re.fullmatch(r"(\d+/\d+) \((.+)\)\n", out).groups()
+        expected = stats.tail(Word("HTH"), n)
+        with int_digits_unlimited():
+            assert Fraction(value) == expected.as_fraction()
+        assert float(approx) == float(expected)
+
+    @pytest.mark.parametrize("n", [14286, 100001])
+    def test_answer_past_4300_digits_prints_in_csv(self, capsys, n):
+        code, out, err = run_cli(capsys, "tail", "HTH", str(n), "--format", "csv")
+        assert (code, err) == (0, "")
+        header, row = out.splitlines()
+        assert header == "word,N,tail_exact_num,tail_exact_den,tail_float"
+        word, n_text, num, den, approx = row.split(",")
+        assert (word, n_text) == ("HTH", str(n))
+        expected = stats.tail(Word("HTH"), n)
+        with int_digits_unlimited():
+            assert Fraction(int(num), int(den)) == expected.as_fraction()
+        assert float(approx) == float(expected)
+
+    def test_refusal_past_the_limit_names_it(self, capsys):
+        code, out, err = run_cli(capsys, "tail", "HTH", "100002")
+        assert (code, out) == (2, "")
+        assert err == "coinwords: error: tail of HTH at N = 100002 lies past the limit N = 100001\n"
+        assert stats.tail(Word("HTH"), 100002) < stats.tail(Word("HTH"), 100001)
+
 
 class TestThreshold:
     def test_decimal_q(self, capsys):

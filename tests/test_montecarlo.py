@@ -1,6 +1,8 @@
 import concurrent.futures
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -143,6 +145,10 @@ class TestRunTrials:
         real_arrays = montecarlo._arrays
         cfg = TrialConfig(word=Word("HH"), trials=trials, seed=7)
         monkeypatch.setattr(montecarlo, "_SCALAR_BLOCKS", 0)  # every run takes the numpy route
+        # no spares, and none kept: the inline shares run one after another,
+        # where pool threads would each take a set at once
+        monkeypatch.setattr(montecarlo, "_SPARES", [])
+        monkeypatch.setattr(montecarlo, "_keep_arrays", lambda arrays: None)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
         monkeypatch.setattr(
@@ -343,6 +349,104 @@ class TestShiftAndScan:
         histogram, truncated = scalar
         histogram = dict(sorted(histogram.items()))
         assert summary == EmpiricalSummary(cfg.word, trials, 29, truncated, histogram)
+
+
+class TestSpareArrays:
+    """The store of array sets that ``run_trials`` calls leave for later ones."""
+
+    # 70 letters, read off trial 5's tosses 40..109, so trial 5 completes at toss
+    # 109; its window holds three blocks, where HTH's holds two
+    LONG = stream(31, 5, 2)[39:109]
+
+    def test_reused_arrays_give_the_summary_of_fresh_ones(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_SCALAR_BLOCKS", 0)  # small runs take the numpy route
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_SPARES", [])
+        runs = [  # k = 70 -> 3 -> 70, at one chunk and a half, then smaller
+            (self.LONG, 70_000, 512), ("HTH", 70_000, 512), (self.LONG, 70_000, 512),
+            (self.LONG, 3000, 200), ("HTH", 3000, 200), (self.LONG, 3000, 200),
+            ("HHHHHHH", 100, 70), (self.LONG, 100, 512),
+        ]
+        used = []  # the sets the scans ran in
+        real_chunk = montecarlo._run_chunk
+        monkeypatch.setattr(
+            montecarlo, "_run_chunk",
+            lambda cfg, lo, hi, arrays: used.append(id(arrays)) or real_chunk(cfg, lo, hi, arrays),
+        )
+        rng = np.random.default_rng(5)
+        for workers in (1, 2, 3):
+            reused = []
+            for letters, trials, cap in runs:
+                cfg = TrialConfig(Word(letters), trials, 31, cap)
+                with monkeypatch.context() as empty:
+                    empty.setattr(montecarlo, "_SPARES", [])
+                    fresh = run_trials(cfg, workers=workers)
+                # whatever earlier scans left in the arrays, made as stale as can be
+                for arrays in montecarlo._SPARES:
+                    for array in arrays:
+                        array[:] = rng.integers(0, 1 << 64, array.size, dtype=np.uint64)
+                kept = {id(arrays) for arrays in montecarlo._SPARES}
+                used.clear()
+                assert run_trials(cfg, workers=workers) == fresh, (letters, trials, workers)
+                reused.append(bool(kept & set(used)))
+            # the second k = 70 run scans in a set that the first one left
+            assert reused[2], workers
+        assert fresh.count == 1 and fresh.histogram == {109: 1}  # trial 5 of the long word
+
+    def test_threads_calling_at_once_get_the_serial_summary(self):
+        configs = [
+            TrialConfig(Word(letters), trials, 17)
+            for letters, trials in (("HTH", 70_000), ("HTTHTH", 65_536), ("HH", 98_304),
+                                    (self.LONG, 66_000))
+        ]
+        serial = [run_trials(cfg) for cfg in configs]
+        barrier = threading.Barrier(len(configs))
+
+        def call(cfg, workers):
+            barrier.wait(timeout=60)  # all four calls start together
+            return run_trials(cfg, workers=workers)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads switch often, inside the store's steps too
+        try:
+            with concurrent.futures.ThreadPoolExecutor(len(configs)) as pool:
+                for workers in (1, 2, 1, 2):
+                    calls = pool.map(call, configs, [workers] * len(configs), timeout=120)
+                    assert list(calls) == serial, workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_store_keeps_at_most_one_set_per_core(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_SCALAR_BLOCKS", 0)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 300)  # runs of 3 chunks take 3 threads
+        monkeypatch.setattr(montecarlo, "_SPARES", [])
+        for cores in (3, 2, 1):
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+            for k, trials, workers in itertools.product((1, 3, 65, 66, 130), (50, 900), (1, 3)):
+                run_trials(TrialConfig(Word(("HT" * k)[:k]), trials, 3), workers=workers)
+                kept = montecarlo._SPARES
+                assert 1 <= len(kept) <= cores
+                # the oldest sets go first: the last one is the run's own
+                assert [len(kept[-1]), kept[-1][0].size] == [6 + -(-(k - 1) // 64), min(trials, 300)]
+                # no array is kept twice, and each set matches one word length and size
+                arrays = [id(array) for spare in kept for array in spare]
+                assert len(set(arrays)) == len(arrays)
+                assert all(len({a.size for a in spare}) == 1 for spare in kept)
+
+    def test_a_repeated_run_allocates_no_arrays(self, monkeypatch):
+        real_arrays, allocations = montecarlo._arrays, []
+        monkeypatch.setattr(montecarlo, "_SPARES", [])
+        monkeypatch.setattr(
+            montecarlo, "_arrays", lambda k, size: allocations.append(size) or real_arrays(k, size)
+        )
+        cfg = TrialConfig(Word("HTH"), 70_000, 3)
+        first = run_trials(cfg)
+        assert allocations == [1 << 16]
+        assert run_trials(cfg) == first and allocations == [1 << 16]
+        # another size takes a new set; a longer word's window takes another
+        run_trials(TrialConfig(Word("HTH"), 8000, 3))
+        run_trials(TrialConfig(Word("H" * 66), 8000, 3))
+        assert allocations == [1 << 16, 8000, 8000]
 
 
 class TestCsv:

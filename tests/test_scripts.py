@@ -104,7 +104,15 @@ def test_bench_layers(tmp_path):
         "run_trials HTTHTH 65536 trials", "run_trials HTH 98304 trials workers=2",
         "run_trials HHH 1000000 trials workers=1", "run_trials HHH 1000000 trials workers=2",
     ]
-    cold = [name for name in report["rows"] if name.startswith("cold ")]
+    # then a row of one chunk, and each numpy-route row again with the store of arrays cleared
+    run_rows = [name for name in report["rows"] if name.startswith("run_trials")]
+    assert run_rows[8:] == ["run_trials HTH 65536 trials"] + [
+        f"{name} store cleared" for name in run_rows[1:9]
+    ]
+    for name in run_rows:  # minor faults of one call, counted in the timing interpreter
+        assert report["rows"][name]["current_minflt"] >= 0
+    assert "current_minflt" not in report["rows"]["pmf HTH n=20000"]
+    cold =[name for name in report["rows"] if name.startswith("cold ")]
     assert cold == [
         "cold import coinwords", "cold counts HTHT 20", "cold counts HTH 40 csv",
         "cold tail HTH 22", "cold threshold HHH 1e-100", "cold stats HTHT", "cold gf HTH --m 8",
