@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline b41871e --repeats 7   # writes BENCH_25.json
+    python scripts/bench_layers.py --baseline 9925b2a --repeats 7   # writes BENCH_26.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -107,6 +107,12 @@ def _cases() -> dict:
     )
     cases["cdf HTH m=2"] = lambda: cdf(hth, 2)  # a term below the word's length
     cases["closed_tail HTH n=20000"] = lambda: closed_tail(hth, 20000)
+    # k = 1000, and D = 1 - 2x + x**1000 has 3 nonzero coefficients
+    sparse = Word("H" + "T" * 999)
+    cases["closed_tail H T^999 n=3000"] = lambda: closed_tail(sparse, 3000)
+    cases["extend_counts H T^999 n=3000"] = lambda: extend_counts(builtin_spec(sparse), 3000)
+    # the small-n shape of perfbench cross-check's counts_recurrence ops
+    cases[f"extend_counts {long_word} n=64"] = lambda: extend_counts(builtin_spec(long_word), 64)
     for letters in ("HHH", "HTH"):
         cases[f"threshold {letters} q=1e-100"] = lambda w=Word(letters): threshold(w, deep)
     for letters in ("HHHHHHHHHH", "HTHTHTHTHT"):
@@ -327,7 +333,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_25.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_26.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

@@ -12,7 +12,9 @@ with D(0) = 1.  The counts a(n) are the coefficients of x**k / D(x), and
 the numbers b(m) of length-m records that avoid the pattern those of
 c(x) / D(x).  A ``RecurrenceSpec`` is such a fraction, and D is known only
 to this module, which works it out once per word and keeps it in a bounded
-memo (``_memo``).  ``extend_counts`` runs the fraction term by term;
+memo (``_memo``).  ``_stepped`` is the one loop that runs the fraction term
+by term, over D's nonzero coefficients: ``extend_counts`` and the stepped
+routes of ``stats``, ``genfun`` and ``montecarlo`` all read it.
 ``nth_term`` jumps to a single term with Bostan and Mori's algorithm ("A
 simple and fast algorithm for computing the N-th term of a linearly
 recurrent sequence", SOSA 2021) in O(log n) products of degree-k
@@ -21,10 +23,9 @@ program over the prefix-match states of the pattern automaton counts the
 same sequence.  All arithmetic uses Python's unbounded integers.
 """
 
-from collections import deque
 from functools import lru_cache
-from itertools import chain, islice, repeat
-from operator import mul
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter, mul
 
 from .words import Word, _Record, _set_field, brute_force_count
 
@@ -133,29 +134,27 @@ def _avoidance_spec(w: Word) -> RecurrenceSpec:
 
 
 def extend_counts(spec: RecurrenceSpec, n_max: int) -> CountSequence:
-    """Run the fraction out to ``n_max`` terms, exactly."""
+    """The first ``n_max`` terms of the fraction, exactly, read off ``_stepped``."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    num, pad = spec.num[:n_max], len(spec.den) - 1
-    terms = [(-j, -d) for j, d in enumerate(spec.den) if j and d]
-    values = [0] * pad  # the zero terms below x**0
-    for p in num:
-        values.append(p + sum(c * values[i] for i, c in terms))
-    for _ in range(len(num), n_max):
-        values.append(sum(c * values[i] for i, c in terms))
-    return CountSequence(tuple(values[pad:]))
+    return CountSequence(tuple(islice(_stepped(spec), n_max)))
 
 
 def _stepped(spec: RecurrenceSpec):
-    """Yield the terms t(1), t(2), ... of ``spec`` without end, stepping the
-    recurrence term by term and keeping only the last k = deg den terms, so
-    memory holds k terms however far it runs."""
+    """Yield the terms t(1), t(2), ... of ``spec`` without end: the one loop
+    that steps the recurrence.  A term reads the terms at den's nonzero
+    coefficients only, and memory holds the last k to 2k terms (k = deg den)."""
     k = len(spec.den) - 1
-    coeffs = [-d for d in spec.den[:0:-1]]  # of t(n - k) .. t(n - 1) in t(n)
-    window = deque([0] * k, maxlen=k)  # t(n - k + 1) .. t(n), from n = 0
+    den = spec.den[:0:-1]  # den[k] .. den[1]: t(n - j) enters t(n) times -den[j]
+    coeffs = [-d for d in den if d]
+    # the window's taps; -1 keeps one tap a tuple, and map stops at coeffs' end
+    pick = itemgetter(*compress(range(-k, 0), den), -1)
+    window = [0] * k  # at most t(n - 2k + 1) .. t(n), from n = 0
     for p in chain(spec.num, repeat(0)):  # num[n - 1], added to t(n)
-        term = p + sum(map(mul, coeffs, window))
+        term = sum(map(mul, coeffs, pick(window)), p)  # p + sum(...) would copy the sum again
         window.append(term)
+        if len(window) > 2 * k:
+            del window[:k]
         yield term
 
 

@@ -394,7 +394,8 @@ def histogram_csv(summary: EmpiricalSummary) -> str:
     """CSV of the waiting-time histogram against the exact pmf.
 
     ``counting._terms_at`` reads a(n) at the histogram's waiting times only,
-    keeping the word's last k terms, not every term up to the longest wait."""
+    keeping at most the word's last 2k terms, not every term up to the longest
+    wait."""
     lines = ["n,empirical_count,empirical_p,exact_p"]
     waits = sorted(summary.histogram)
     exact = dict(zip(waits, _terms_at(builtin_spec(summary.word), waits)))

@@ -8,8 +8,9 @@ and ``tail`` read b(m), the number of length-m records that avoid the
 pattern, whose sequence c(x)/D(x) runs on the same recurrence as the
 first-occurrence counts.  ``threshold`` guesses where the tail crosses q
 from the tail's geometric decay and decides with exact jumps around the
-guess.  ``closed_tail`` runs the avoidance recurrence term by term,
-a second route to the tail, and the moments are closed sums over the
+guess.  ``closed_tail`` steps the avoidance recurrence term by term in
+``counting``'s one recurrence loop, a second route to the tail that shares
+nothing with the jump, and the moments are closed sums over the
 pattern's self-overlaps; all of it comes from the autocorrelation polynomial
 (see ``counting``).  Floating point appears only in the displayed
 standard deviation and in the guess of ``threshold``, which picks where to
@@ -133,9 +134,9 @@ def tail(w: Word, n: int) -> DyadicRational:
 def closed_tail(w: Word, n: int) -> DyadicRational:
     """Tail probability via the avoidance counts: b(n-1) / 2**(n-1).
 
-    Steps the avoidance recurrence term by term to b(n-1), keeping only the
-    last k terms: an independent route to the same value as :func:`tail`,
-    which jumps to b(n-1) with ``nth_term``.
+    Steps the avoidance recurrence to b(n-1) in ``counting._stepped``, the one
+    recurrence loop, over D's nonzero coefficients and the last k to 2k terms:
+    an independent route to the value that :func:`tail` jumps to with ``nth_term``.
     """
     if n < 1:
         raise ValueError(f"toss index must be >= 1, got {n}")
@@ -243,7 +244,7 @@ def _past_limit(w: Word, q_text: str, near: float) -> ValueError:
     """The refusal of a threshold past the limit, for q printed as ``q_text``
     and the decay model's answer ``near``."""
     return ValueError(
-        f"threshold of {w} at q = {q_text} lies past the limit n = {_THRESHOLD_LIMIT}"
+        f"threshold of {w} at q = {q_text} lies past the limit n = {_THRESHOLD_LIMIT + 1}"
         f" (the decay model puts it near n = {near:.3g})"
     )
 
@@ -351,7 +352,7 @@ def partial_moment_sums(w: Word, n_max: int) -> tuple[Fraction, Fraction]:
 
     p(n) = a(n) / 2**n, so the numerators over 2**n_max are the Horner sums
     s = 2 s + n a(n) and 2 s + n**2 a(n), run over ``_stepped``'s counts:
-    memory holds the word's last k counts and the two sums.
+    memory holds at most the word's last 2k counts and the two sums.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")

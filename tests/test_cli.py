@@ -171,6 +171,27 @@ class TestStats:
         assert code == 0
         assert out == f"word={w} mean={st.mean} variance={st.variance} stddev={st.stddev}\n"
 
+    # the variance of a k-letter word is about 4**k: past 4300 digits near 7150 letters
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_answer_past_4300_digits_prints(self, capsys, fmt):
+        w = Word("H" + "T" * 7199)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, "stats", w.letters, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        if fmt == "csv":
+            header, row = out.splitlines()
+            assert header == "word,mean,variance,stddev"
+            word, mean, variance, stddev = row.split(",")
+        else:
+            pattern = r"word=(\w+) mean=(\d+) variance=(\d+) stddev=(\S+)\n"
+            word, mean, variance, stddev = re.fullmatch(pattern, out).groups()
+        st = stats.moments(w)
+        assert len(variance) > 4300
+        with int_digits_unlimited():
+            assert (int(mean), int(variance)) == (st.mean, st.variance)
+        assert (word, float(stddev)) == (w.letters, st.stddev)
+
 
 class TestTail:
     def test_text_exact_and_float(self, capsys):
@@ -287,7 +308,7 @@ class TestThreshold:
         code, out, err = run_cli(capsys, "threshold", "HTH", "1e-300000")
         assert (code, out) == (2, "")
         assert err.startswith(
-            "coinwords: error: threshold of HTH at q = about 1e-300000 lies past the limit n = 100000 "
+            "coinwords: error: threshold of HTH at q = about 1e-300000 lies past the limit n = 100001 "
         )
         assert len(err.splitlines()) == 1
 
@@ -295,7 +316,7 @@ class TestThreshold:
         "q, message",
         [
             ("1e-10000000", "threshold of HTH at q = about 1e-10000000 lies past the limit "
-                            "n = 100000 (the decay model puts it near n = 1.76e+08)"),
+                            "n = 100001 (the decay model puts it near n = 1.76e+08)"),
             ("1e10000000", "quantile must satisfy 0 < q <= 1, got about 1e10000000"),
         ],
         ids=["past-the-limit", "above-1"],
@@ -313,7 +334,7 @@ class TestThreshold:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert "HHHHHHHHHH" in err and "1/2" in err and "n = 50" in err
+        assert "HHHHHHHHHH" in err and "1/2" in err and "n = 51" in err
 
 
 class TestSimulate:

@@ -9,6 +9,7 @@ from coinwords.counting import (
     CountSequence,
     RecurrenceSpec,
     _avoidance_spec,
+    _terms_at,
     automaton_counts,
     builtin_spec,
     counts,
@@ -158,6 +159,56 @@ class TestExtendCounts:
         assert seq.at(1) == 0 and seq.at(6) == 5
         with pytest.raises(IndexError):
             seq.at(0)
+
+
+def automaton_terms(w, spec_name, n_max):
+    """Terms 1..n_max of ``w``'s count or avoidance spec, from the automaton:
+    each of the 2 b(m-1) one-toss extensions of an avoiding record avoids w
+    unless w first ends at its last toss, so b(m) = 2 b(m-1) - a(m) from
+    b(0) = 1."""
+    a = automaton_counts(w, n_max).values
+    if spec_name == "count":
+        return a
+    b = [1]
+    for term in a[: n_max - 1]:
+        b.append(2 * b[-1] - term)
+    return tuple(b)
+
+
+# Dense D (short periods), sparse D (H T^j), one tap (single letters), up to 64 letters.
+STEPPER_WORDS = [
+    *("H" * k for k in (1, 2, 5, 20, 64)),
+    "T",
+    *("HT" * j for j in (1, 5, 32)),
+    *("HTT" * j + "H" for j in (1, 7, 21)),
+    *("H" + "T" * j for j in (1, 10, 63)),
+    "HTHTTHHTHT",
+]
+SPECS = {"count": builtin_spec, "avoidance": _avoidance_spec}
+
+
+class TestOneStepper:
+    """``_stepped``, the one recurrence loop, against the automaton and the jump."""
+
+    def check(self, letters, spec_name):
+        w = Word(letters)
+        spec, k = SPECS[spec_name](w), len(letters)
+        expected = automaton_terms(w, spec_name, 300)
+        assert extend_counts(spec, 300).values == expected, w
+        for n in (1, k, 2 * k, 2 * k + 1, 3 * k):  # the window is trimmed past 2k
+            assert extend_counts(spec, n).values == expected[:n], f"{w} to n={n}"
+        far = (k, 2 * k + 1, 1000, 3000)
+        assert _terms_at(spec, far) == [nth_term(spec, n) for n in far], w
+
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    @pytest.mark.parametrize("letters", STEPPER_WORDS)
+    def test_word_families(self, letters, spec_name):
+        self.check(letters, spec_name)
+
+    @given(st.text("HT", min_size=1, max_size=64), st.sampled_from(sorted(SPECS)))
+    @settings(max_examples=30, deadline=None)
+    def test_random_words(self, letters, spec_name):
+        self.check(letters, spec_name)
 
 
 class TestNthTerm:

@@ -89,7 +89,8 @@ def test_bench_layers(tmp_path):
         "automaton_counts HTHTTHHTHT n=64", "nth_terms HTH n=63,64",
         "nth_terms HTHTTHHTHT n=19999,20000", 'Word("HTHTTHHTHT") x1000',
         "Word == Word x1000", "hash(Word) x1000", "DyadicRational(12345 << 3, 40) x1000",
-        "closed_tail HTH n=20000", "CountSequence((0, 1, 1, 2)) x1000",
+        "closed_tail HTH n=20000", "closed_tail H T^999 n=3000", "extend_counts H T^999 n=3000",
+        "extend_counts HTHTTHHTHT n=64", "CountSequence((0, 1, 1, 2)) x1000",
         'CheckResult("reference-counts", True, "rows", 0.25) x1000',
     ):
         assert report["rows"][name]["current_ms"] > 0

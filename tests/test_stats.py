@@ -325,9 +325,9 @@ class TestThreshold:
         "letters,q,message",
         [
             ("HTH", Fraction(1, 10**300000),
-             "threshold of HTH at q = about 1e-300000 lies past the limit n = 100000 "),
+             "threshold of HTH at q = about 1e-300000 lies past the limit n = 100001 "),
             ("HHH", Fraction(1, 10**4500),
-             "threshold of HHH at q = about 1e-4500 lies past the limit n = 100000 "),
+             "threshold of HHH at q = about 1e-4500 lies past the limit n = 100001 "),
             ("HH", Fraction(10**4500), "quantile must satisfy 0 < q <= 1, got about 1e4500"),
             ("HH", Fraction(-2, 3 * 10**4400),
              "quantile must satisfy 0 < q <= 1, got about -6.67e-4401"),
@@ -358,7 +358,7 @@ class TestThreshold:
         "text, message",
         [
             ("1e-10000000", "threshold of HTH at q = about 1e-10000000 lies past the limit "
-                            "n = 100000 (the decay model puts it near n = 1.76e+08)"),
+                            "n = 100001 (the decay model puts it near n = 1.76e+08)"),
             ("1e10000000", "quantile must satisfy 0 < q <= 1, got about 1e10000000"),
             ("-2e-10000000", "quantile must satisfy 0 < q <= 1, got about -2e-10000000"),
         ],
@@ -381,7 +381,7 @@ class TestThreshold:
 
     def test_refusal_prints_a_q_of_4300_digits_exactly(self):
         q = Fraction(1, 10**4300 - 1)  # 14285 bits, as many as 10**4300 has
-        with pytest.raises(ValueError, match=f"at q = {q} lies past the limit n = 100000"):
+        with pytest.raises(ValueError, match=f"at q = {q} lies past the limit n = 100001"):
             threshold(Word("HHH"), q)
 
 
@@ -520,13 +520,13 @@ class TestThresholdJumps:
             threshold(w, Fraction(1, 2))
         assert len(jumps) <= 2
         assert str(w) in str(info.value) and "1/2" in str(info.value)
-        assert "n = 100000" in str(info.value)
+        assert "n = 100001" in str(info.value)
 
     @pytest.mark.parametrize("letters", ["H" + "T" * 63, "H" * 20])
     def test_long_word_is_refused_without_a_jump(self, monkeypatch, letters):
         jumps = []
         monkeypatch.setattr(stats, "nth_terms", lambda spec, indices: jumps.append(indices))
-        message = f"threshold of {letters} at q = 1/2 lies past the limit n = 100000 "
+        message = f"threshold of {letters} at q = 1/2 lies past the limit n = 100001 "
         with pytest.raises(ValueError, match=re.escape(message)):
             threshold(Word(letters), Fraction(1, 2))
         assert jumps == []
@@ -540,7 +540,7 @@ class TestThresholdJumps:
             return exact(spec, indices)
 
         monkeypatch.setattr(stats, "nth_terms", counted)
-        with pytest.raises(ValueError, match="lies past the limit n = 100000"):
+        with pytest.raises(ValueError, match="lies past the limit n = 100001"):
             threshold(Word("H" * 17), Fraction(1, 2))
         assert jumps == [(100000, 100001)]
 
@@ -577,7 +577,7 @@ class TestThresholdJumps:
         monkeypatch.setattr(stats, "_THRESHOLD_LIMIT", n - 1)
         assert threshold(w, text) == n
         monkeypatch.setattr(stats, "_THRESHOLD_LIMIT", n - 2)
-        with pytest.raises(ValueError, match=f"n = {n - 2}"):
+        with pytest.raises(ValueError, match=f"n = {n - 1}"):
             threshold(w, text)
 
     @pytest.mark.parametrize("length", range(1, 9))
