@@ -2,7 +2,7 @@
 """Layer timings of the exact and Monte Carlo hot paths, and cold command
 timings, written as JSON.
 
-    python scripts/bench_layers.py --baseline 9925b2a --repeats 7   # writes BENCH_26.json
+    python scripts/bench_layers.py --baseline d42ade9 --repeats 7   # writes BENCH_27.json
     python scripts/bench_layers.py --repeats 1 --out /tmp/bench.json
 
 Each round times up to CALLS calls of a case, stopping early once
@@ -202,6 +202,12 @@ COLD = {
     "cold simulate HTH 4000 trials": (
         "-m", "coinwords.cli", "simulate", "HTH", "--trials", "4000", "--seed", "1",
     ),
+    # a variance of 4335 digits, past Python's default limit of 4300
+    "cold stats H T^7199": ("-m", "coinwords.cli", "stats", "H" + "T" * 7199),
+    # about 24 MB, a(14000) having 3419 digits
+    "cold counts HTH 14000 csv": (
+        "-m", "coinwords.cli", "counts", "HTH", "14000", "--format", "csv",
+    ),
 }
 
 
@@ -333,7 +339,7 @@ def _git(*args: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_26.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_27.json"))
     parser.add_argument("--baseline", help="git revision to time beside the working tree")
     args = parser.parse_args()
     if args.repeats < 1:

@@ -2,12 +2,13 @@
 
 Subcommands: counts, table, gf, stats, tail, threshold, simulate, verify.
 Exit codes: 0 success, 1 usage error, 2 domain error (and verify exits 2 when
-any cross-check fails).  Exact values are printed next to float
-approximations, and CSV output carries exact decimal / num-den strings so it
-round-trips losslessly.
+any cross-check fails), 141 when stdout's reader closes it.  Exact values of
+any size are printed next to float approximations, and CSV output carries
+exact decimal / num-den strings so it round-trips losslessly.
 """
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -120,34 +121,12 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     w = _resolve_word(args)
     st = stats.moments(w)
-    with _digits_unlimited():
-        if args.format == "csv":
-            print("word,mean,variance,stddev")
-            print(f"{w},{st.mean},{st.variance},{st.stddev}")
-        else:
-            print(f"word={w} mean={st.mean} variance={st.variance} stddev={st.stddev}")
+    if args.format == "csv":
+        print("word,mean,variance,stddev")
+        print(f"{w},{st.mean},{st.variance},{st.stddev}")
+    else:
+        print(f"word={w} mean={st.mean} variance={st.variance} stddev={st.stddev}")
     return 0
-
-
-@contextmanager
-def _digits_unlimited():
-    """Python's limit on int <-> str conversions lifted inside, and restored
-    after.
-
-    Python >= 3.11 parses and prints no int past 4300 digits.  ``tail`` and
-    ``threshold`` answer at n <= 100001, so the tail's 2**(n-1) has at most
-    30103 digits, which print in milliseconds.  ``stats`` prints a variance
-    of about 4**k for a word of k letters, past 4300 digits from about 7150.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 has no limit
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
@@ -157,31 +136,29 @@ def _cmd_tail(args: argparse.Namespace) -> int:
         raise ValueError(f"tail of {w} at N = {n} lies past the limit N = {limit}")
     value = stats.tail(w, n)
     frac = value.as_fraction()
-    with _digits_unlimited():
-        if args.format == "csv":
-            print("word,N,tail_exact_num,tail_exact_den,tail_float")
-            print(f"{w},{n},{frac.numerator},{frac.denominator},{float(value)}")
-        else:
-            print(f"{value} ({float(value)})")
+    if args.format == "csv":
+        print("word,N,tail_exact_num,tail_exact_den,tail_float")
+        print(f"{w},{n},{frac.numerator},{frac.denominator},{float(value)}")
+    else:
+        print(f"{value} ({float(value)})")
     return 0
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     w, text = _word_and_value(args, "--q", "a quantile")
-    with _digits_unlimited():  # to read a Q of any length and to print the answer
-        stats._refuse_by_exponent(w, text)  # before Fraction builds 10**exponent
-        try:
-            q = Fraction(text)
-        except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
-            raise _UsageError(f"Q must be a fraction or decimal, got {text!r}") from None
-        n = stats.threshold(w, q)
-        value = stats.tail(w, n)
-        if args.format == "csv":
-            print("word,q,N,tail_exact_num,tail_exact_den,tail_float")
-            frac = value.as_fraction()
-            print(f"{w},{q},{n},{frac.numerator},{frac.denominator},{float(value)}")
-        else:
-            print(f"N={n} tail={value} ({float(value)})")
+    stats._refuse_by_exponent(w, text)  # before Fraction builds 10**exponent
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
+        raise _UsageError(f"Q must be a fraction or decimal, got {text!r}") from None
+    n = stats.threshold(w, q)
+    value = stats.tail(w, n)
+    if args.format == "csv":
+        print("word,q,N,tail_exact_num,tail_exact_den,tail_float")
+        frac = value.as_fraction()
+        print(f"{w},{q},{n},{frac.numerator},{frac.denominator},{float(value)}")
+    else:
+        print(f"N={n} tail={value} ({float(value)})")
     return 0
 
 
@@ -295,20 +272,42 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _digits_unlimited():
+    """Python's int <-> str digit limit lifted inside and restored after.
+    ``main`` parses and runs each command inside it; the library keeps it.
+    CPython 3.10.7+ converts no int past 4300 digits by default, but a(n) in
+    ``counts``, ``gf`` and ``simulate``, ``stats``' variance of about 4**k and
+    the tails over 2**(n-1) of ``tail`` and ``threshold`` may have more.  An
+    operand is one argv string of at most 128 KiB, which int() reads in 0.08 s.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # CPython before 3.10.7 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits itself on usage errors / --help
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
+    with _digits_unlimited():
+        try:
+            args = parser.parse_args(argv)
+            code = args.func(args)
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+            return code
+        except SystemExit as exc:  # argparse exits itself on usage errors / --help
+            return int(exc.code or 0)
+        except (_UsageError, ValueError, ZeroDivisionError) as exc:
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return 1 if isinstance(exc, _UsageError) else 2
+        except BrokenPipeError:  # stdout's reader left, as ``| head`` does
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for exit's flush
+            return 141
 
 
 if __name__ == "__main__":

@@ -221,7 +221,7 @@ def _ln_ratio(x: int, y: int) -> float:
 
 def _quantile_text(q: Fraction) -> str:
     """q for a message: exact while its numerator and denominator have at
-    most 4300 digits (all that Python >= 3.11 prints by default), else
+    most 4300 digits (all that CPython 3.10.7+ prints by default), else
     "about" q to 3 significant digits, so that a refusal always prints."""
     num, den = abs(q.numerator), q.denominator
     # fewer than 14285 bits means below 10**4300, so the power is built only for longer q

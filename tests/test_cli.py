@@ -1,6 +1,8 @@
 import contextlib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -10,10 +12,12 @@ import pytest
 from coinwords import closedform, stats, verify
 from coinwords.cli import main
 from coinwords.closedform import certify_horizon
-from coinwords.counting import CountSequence, RecurrenceSpec
+from coinwords.counting import CountSequence, RecurrenceSpec, builtin_spec, counts, nth_term
 from coinwords.genfun import Polynomial
 from coinwords.verify import run_checks
 from coinwords.words import Word
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -697,3 +701,129 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and "'abc'" in err
+
+
+def run_cli_answer(capsys, *argv):
+    """The output of a command that exits 0 with nothing on stderr (so with no
+    "Exceeds the limit"), leaving Python's digit limit as it found it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    return out
+
+
+class TestDigitLimit:
+    """``main`` lifts Python's 4300-digit limit once, for every command."""
+
+    # a(17609) of HTH is its first count past 4300 digits
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_counts_past_4300_digits_print(self, capsys, fmt):
+        out = run_cli_answer(capsys, "counts", "HTH", "17609", "--format", fmt)
+        if fmt == "csv":
+            lines = out.splitlines()
+            assert (lines[0], len(lines)) == ("n,a_W(n)", 17610)
+            n, last = lines[-1].split(",")
+            assert n == "17609"
+        else:
+            assert out.count(", ") == 17608
+            last = out[out.rindex(", ") + 2:-1]
+        assert len(last) == 4301
+        with int_digits_unlimited():
+            assert int(last) == counts(Word("HTH"), 17609).values[-1]
+
+    def test_gf_coefficient_past_4300_digits_prints(self, capsys):
+        out = run_cli_answer(capsys, "gf", "HTH", "--m", "17700")
+        word, partial, closed = out.splitlines()
+        assert (word, closed) == ("word: HTH", "closed: (-x^3)/(-1 + 2*x - x^2 + x^3)")
+        assert partial.startswith("partial m=17700: x^3 + 2*x^4 + 3*x^5 + ")
+        coefficient, power = partial[partial.rindex(" + ") + 3:].split("*x^")
+        assert (power, len(coefficient)) == ("17700", 4323)
+        with int_digits_unlimited():
+            assert int(coefficient) == nth_term(builtin_spec(Word("HTH")), 17700)
+
+    def test_simulate_text_prints_a_variance_past_4300_digits(self, capsys):
+        w = Word("H" + "T" * 7199)
+        out = run_cli_answer(capsys, "simulate", w.letters, "--trials", "1", "--cap", "7200")
+        mean, variance = re.fullmatch(
+            r"word=\w+ trials=1 seed=0 cap=7200\ncompleted=\d+ truncated=\d+\n"
+            r"empirical_mean=\S+ exact_mean=(\d+) \(\S+\)\n"
+            r"empirical_variance=\S+ exact_variance=(\d+) \(\S+\)\n",
+            out,
+        ).groups()
+        st = stats.moments(w)
+        assert len(variance) == 4335
+        with int_digits_unlimited():
+            assert (int(mean), int(variance)) == (st.mean, st.variance)
+
+    def test_simulate_csv_prints_exact_p_past_4300_digits(self, capsys):
+        # 20 trials stay on the Python-int route; seed 1's longest wait is 42429
+        # tosses, and 2**n passes 4300 digits from n = 14285 on
+        argv = ("HHHHHHHHHHHHH", "--format", "csv", "--cap", "100000", "--trials", "20", "--seed", "1")
+        out = run_cli_answer(capsys, "simulate", *argv)
+        summary, histogram = out.split("\n\n")
+        assert summary.splitlines()[1].startswith("HHHHHHHHHHHHH,20,1,")
+        header, *rows = histogram.splitlines()
+        assert header == "n,empirical_count,empirical_p,exact_p"
+        spec = builtin_spec(Word("HHHHHHHHHHHHH"))
+        waits = [int(row.split(",")[0]) for row in rows]
+        assert max(waits) == 42429
+        with int_digits_unlimited():
+            for row in rows:
+                n, count, empirical, exact = row.split(",")
+                assert Fraction(empirical) == Fraction(int(count), 20)
+                assert Fraction(exact) == Fraction(nth_term(spec, int(n)), 2 ** int(n))
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(("tail", "HTH", "100002"), 2), (("counts", "HTH", "abc"), 1), (("--help",), 0)],
+        ids=["refusal", "usage-error", "help"],
+    )
+    def test_limit_is_restored_on_every_way_out(self, capsys, argv, code):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no digit limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)  # not the default, so a reset would show
+        try:
+            assert main(list(argv)) == code
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv", [("HTH", "9" * 4301), ("--word", "HTH", "9" * 4301)], ids=["positional", "word-flag"]
+    )
+    def test_n_past_4300_digits_is_read_and_refused_by_tail(self, capsys, argv):
+        code, out, err = run_cli(capsys, "tail", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"coinwords: error: tail of HTH at N = {'9' * 4301} lies past the limit N = 100001\n"
+
+
+def run_cli_pipe(argv, lines):
+    """Exit code and stderr of ``coinwords ARGV`` whose reader takes ``lines``
+    lines of its stdout, then closes it.  The command's stdout is buffered, as
+    by default: PYTHONUNBUFFERED is dropped."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coinwords.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    return proc.wait(timeout=120), err
+
+
+# ``counts HTH 15000`` prints 27 MB, far past a pipe's buffer; ``counts HTH 14``
+# prints one short line, which stays buffered until main flushes it
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(("counts", "HTH", "15000", "--format", "csv"), 1), (("counts", "HTH", "14"), 0)],
+    ids=["mid-output", "at-flush"],
+)
+def test_closed_pipe_exits_without_a_traceback(argv, lines):
+    code, err = run_cli_pipe(argv, lines)
+    assert (code, err) == (141, "")

@@ -119,5 +119,6 @@ def test_bench_layers(tmp_path):
         "cold tail HTH 22", "cold threshold HHH 1e-100", "cold stats HTHT", "cold gf HTH --m 8",
         "cold simulate HTHH 65536 trials", "cold verify --full", "cold verify",
         "cold counts HTH 14 engine=brute", "cold simulate HTH 4000 trials",
+        "cold stats H T^7199", "cold counts HTH 14000 csv",
     ]
     assert all(report["rows"][name]["current_ms"] > 0 for name in cold)
